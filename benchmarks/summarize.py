@@ -75,14 +75,6 @@ def _fastforward(name, payload, saved_at):
     return rows
 
 
-def _restore_vs_replay(name, payload, saved_at):
-    return [_row(name, "parallel-worker startup "
-                       f"({payload['prefix_windows']}-window prefix)",
-                 f"{payload['replay_ms']} ms (golden replay)",
-                 f"{payload['restore_ms']} ms (checkpoint restore)",
-                 payload["speedup"], saved_at)]
-
-
 def _metrics_overhead(name, payload, saved_at):
     off, on = payload["metrics_off_s"], payload["metrics_on_s"]
     return [_row(name, "campaign with live telemetry on vs off",
@@ -114,7 +106,6 @@ def _batched_lanes(name, payload, saved_at):
 EXTRACTORS: Dict[str, Callable] = {
     "bench_clone_vs_deepcopy": _clone_vs_deepcopy,
     "bench_fastforward": _fastforward,
-    "bench_restore_vs_replay_startup": _restore_vs_replay,
     "bench_metrics_overhead": _metrics_overhead,
     "bench_null_metrics_call": _null_metrics_call,
     "bench_supervisor_overhead": _supervisor_overhead,

@@ -8,12 +8,9 @@ seeds, so fan-out is pure mechanism, never policy). A separate bench
 times the warm-cache path, which should be near-instant regardless of
 scale.
 
-Two checkpoint benches quantify the deepcopy/replay elimination:
 ``test_clone_vs_deepcopy`` times the purpose-built ``clone()`` against
-``copy.deepcopy`` on a warm core, and
-``test_checkpoint_restore_beats_prefix_replay`` times the warm-cache
-checkpoint fan-out against the legacy per-worker prefix replay at
-jobs=4. Both record windows/sec into ``benchmarks/results``.
+``copy.deepcopy`` on a warm core and records both into
+``benchmarks/results``.
 """
 
 import copy
@@ -22,12 +19,7 @@ import pathlib
 import tempfile
 import time
 
-import pytest
-
 from repro.harness import ArtifactCache, ExperimentConfig, ExperimentContext
-from repro.harness.parallel import (CheckpointStats, chunk_bounds,
-                                    chunk_checkpoints,
-                                    classify_windows_parallel)
 from repro.harness.store import ResultStore
 
 #: One small benchmark keeps this a guard, not a soak test.
@@ -111,95 +103,6 @@ def test_clone_vs_deepcopy():
     assert speedup > 1.0
 
 
-def test_restore_vs_replay_startup():
-    """Time to bring a chunk worker to its start boundary — restoring
-    the shipped checkpoint vs replaying the golden prefix. This is the
-    per-worker cost the dispatcher's golden pass amortises away, and it
-    is machine-independent (pure serial work on both sides)."""
-    ctx = ExperimentContext(_CFG, jobs=1)
-    campaign = ctx.build_campaign("mcf")
-    records = campaign.records
-    bounds = chunk_bounds(len(records), 4)
-    checkpoints = chunk_checkpoints(_CFG, ctx.hw, "mcf", None, records,
-                                    bounds, ctx=ctx)
-    lo = bounds[-1][0]
-    classifier = campaign.classifier(campaign.baseline_factory)
-
-    started = time.perf_counter()
-    replayed = campaign.baseline_factory()
-    classifier.advance_golden(replayed, records[:lo])
-    replay_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    restored = checkpoints[-1].restore()
-    restore_seconds = time.perf_counter() - started
-
-    # the two startup paths land in the same state
-    assert restored.cycle == replayed.cycle
-    assert restored.arch_snapshot() == replayed.arch_snapshot()
-    speedup = replay_seconds / restore_seconds
-    _RESULTS.save("bench_restore_vs_replay_startup", {
-        "prefix_windows": lo,
-        "replay_ms": round(replay_seconds * 1e3, 2),
-        "restore_ms": round(restore_seconds * 1e3, 2),
-        "checkpoint_bytes": checkpoints[-1].nbytes,
-        "speedup": round(speedup, 1),
-    }, config=_CFG)
-    assert speedup >= 2.0
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 4,
-                    reason="speedup floor needs >= 4 real cores")
-def test_checkpoint_restore_beats_prefix_replay():
-    """Warm-cache checkpoint fan-out vs legacy per-worker prefix replay
-    at jobs=4: the replay path re-steps O(N^2) golden windows across the
-    pool, the checkpoint path restores chunk boundaries and steps O(N).
-    The acceptance floor is 2x windows/sec."""
-    jobs = 4
-    bench_cfg = ExperimentConfig(benchmarks=("mcf",), dynamic_target=4_000,
-                                 num_faults=28, warmup_commits=250,
-                                 window_commits=110)
-    ctx = ExperimentContext(bench_cfg, jobs=jobs)
-    campaign = ctx.build_campaign("mcf")
-    records = campaign.records
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ArtifactCache(pathlib.Path(tmp))
-        # one golden pass warms the chunk-boundary checkpoints
-        chunk_checkpoints(bench_cfg, ctx.hw, "mcf", None, records,
-                          chunk_bounds(len(records), jobs),
-                          cache=cache, ctx=ctx, jobs=jobs)
-
-        started = time.perf_counter()
-        via_replay = classify_windows_parallel(
-            bench_cfg, ctx.hw, "mcf", None,
-            [r.fresh_copy() for r in records], ctx._executor,
-            use_checkpoints=False)
-        replay_seconds = time.perf_counter() - started
-
-        stats = CheckpointStats()
-        started = time.perf_counter()
-        via_checkpoint = classify_windows_parallel(
-            bench_cfg, ctx.hw, "mcf", None,
-            [r.fresh_copy() for r in records], ctx._executor,
-            cache=cache, ctx=ctx, checkpoint_stats=stats)
-        checkpoint_seconds = time.perf_counter() - started
-
-    assert via_checkpoint == via_replay          # same answer, faster
-    assert stats.hits > 0 and stats.captured == 0
-    replay_wps = len(records) / replay_seconds
-    checkpoint_wps = len(records) / checkpoint_seconds
-    speedup = checkpoint_wps / replay_wps
-    _RESULTS.save("bench_checkpoint_vs_replay", {
-        "jobs": jobs,
-        "windows": len(records),
-        "prefix_replay_windows_per_sec": round(replay_wps, 2),
-        "checkpoint_windows_per_sec": round(checkpoint_wps, 2),
-        "speedup": round(speedup, 2),
-        "golden_pass_seconds": round(stats.golden_pass_seconds, 4),
-    }, config=bench_cfg)
-    assert speedup >= 2.0
-
-
 # ----------------------------------------------------------------------
 # supervisor overhead
 # ----------------------------------------------------------------------
@@ -207,9 +110,11 @@ def test_supervisor_overhead_is_negligible():
     """The resilient supervisor (retry/watchdog/quarantine bookkeeping,
     fsync'd journal) must cost <= 3% on a fault-free campaign.
 
-    Measured on the serial dispatch path — identical simulation work on
-    both sides, so the delta is exactly the supervisor's bookkeeping —
-    with best-of-3 wall times to shed scheduler noise. The supervised
+    Measured against the unchunked ``Campaign.characterize`` /
+    ``run_coverage`` reference on the serial dispatch path — identical
+    simulation work on both sides, so the delta is exactly the
+    supervisor's bookkeeping — with best-of-3 wall times to shed
+    scheduler noise. The supervised
     pool path is timed too and recorded for reference (it additionally
     pays per-phase pool construction, which amortises with campaign
     size and is not supervisor bookkeeping).
@@ -219,8 +124,11 @@ def test_supervisor_overhead_is_negligible():
     def plain_serial():
         ctx = ExperimentContext(_CFG, jobs=1)
         started = time.perf_counter()
-        ctx.campaign("mcf")
-        ctx.coverage("mcf", "faulthound")
+        campaign = ctx.build_campaign("mcf")
+        characterization = campaign.characterize()
+        campaign.run_coverage("faulthound",
+                              lambda: ctx.make_core("mcf", "faulthound"),
+                              characterization)
         return time.perf_counter() - started
 
     def supervised_serial(run_root):

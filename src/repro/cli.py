@@ -10,24 +10,13 @@ Subcommands
     Run one synthetic benchmark fault-free; print timing and energy.
 ``repro campaign NAME [--faults N] [--scheme S]``
     Fault-injection campaign: characterisation plus scheme coverage.
-    Runs under the resilient supervisor by default (retries, watchdog
-    timeouts, poison-window quarantine — see docs/robustness.md); with
+    Runs under the resilient supervisor (retries, watchdog timeouts,
+    poison-window quarantine — see docs/robustness.md); with
     ``--run-dir D`` progress is journaled crash-safely into ``D``.
-    With ``--fabric DIR`` chunks are leased to the worker agents
-    registered under DIR instead of a local pool, with identical
-    results (see docs/distributed.md).
-``repro resume RUN_DIR [--fabric DIR]``
+``repro resume RUN_DIR``
     Finish an interrupted ``repro campaign --run-dir RUN_DIR``: only
     the chunks missing from the journal are re-run, and the final
     aggregates are bit-for-bit those of an uninterrupted run.
-    ``--fabric`` re-attaches the resume to a distributed fabric;
-    without it the resume runs locally — either way converges to the
-    same bytes.
-``repro agent {start,stop,list}``
-    Worker agents for the distributed campaign fabric: ``start`` runs
-    a daemon that registers under ``--fabric DIR`` and executes leased
-    chunks; ``list`` shows every registered agent and its health;
-    ``stop`` shuts agents down (socket first, SIGTERM fallback).
 ``repro cache {verify,stats,clear}``
     Artifact-cache maintenance; ``verify`` sweeps every entry and
     quarantines unreadable pickles.
@@ -166,15 +155,6 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chunk-windows", type=int, default=8,
                      help="target windows per supervised chunk — the "
                           "journal/retry granularity (default 8)")
-    sub.add_argument("--no-supervise", action="store_true",
-                     help="bypass the resilient supervisor and use the "
-                          "bare dispatcher (no retries, no journal)")
-    sub.add_argument("--fabric", metavar="DIR", default=None,
-                     help="dispatch chunks to the worker agents "
-                          "registered under this fabric directory "
-                          "(start them with `repro agent start "
-                          "--fabric DIR`); results are bit-for-bit "
-                          "identical to local execution")
 
 
 def _make_context(cfg: ExperimentConfig, args, events=None,
@@ -265,10 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the original worker count")
     resume.add_argument("--emit-events", metavar="PATH", default=None,
                         help="write this resume's event log to PATH")
-    resume.add_argument("--fabric", metavar="DIR", default=None,
-                        help="re-attach the resume to a distributed "
-                             "fabric (default: run locally; results "
-                             "are identical either way)")
 
     cache_cmd = sub.add_parser("cache", help="artifact cache maintenance")
     cache_sub = cache_cmd.add_subparsers(dest="cache_command",
@@ -430,41 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_cmd.add_argument("serve_dir", metavar="DIR")
         sub_cmd.add_argument("job_id", metavar="JOB")
 
-    agent_cmd = sub.add_parser(
-        "agent", help="worker agents for the distributed campaign "
-                      "fabric (see docs/distributed.md)")
-    agent_sub = agent_cmd.add_subparsers(dest="agent_command",
-                                         required=True)
-    agent_start = agent_sub.add_parser(
-        "start", help="run a worker agent daemon: registers under the "
-                      "fabric directory and executes leased chunks "
-                      "until stopped")
-    agent_start.add_argument("--fabric", required=True, metavar="DIR",
-                             help="fabric directory shared with the "
-                                  "campaign (registry + chunk store)")
-    agent_start.add_argument("--name", default=None,
-                             help="agent name (default: agent-<pid>)")
-    agent_start.add_argument("--slots", type=_positive_int, default=1,
-                             help="concurrent chunk leases this agent "
-                                  "accepts (default 1)")
-    agent_start.add_argument("--idle-exit", type=float, default=None,
-                             metavar="SECONDS",
-                             help="exit after this long without a "
-                                  "running chunk (CI/test knob)")
-    agent_list = agent_sub.add_parser(
-        "list", help="every agent registered under a fabric directory "
-                     "and its health (live/unreachable/dead)")
-    agent_list.add_argument("--fabric", required=True, metavar="DIR")
-    agent_list.add_argument("--json", action="store_true",
-                            dest="as_json",
-                            help="machine-readable agent rows")
-    agent_stop = agent_sub.add_parser(
-        "stop", help="shut down agents (socket shutdown verb, SIGTERM "
-                     "fallback) and sweep dead registry records")
-    agent_stop.add_argument("--fabric", required=True, metavar="DIR")
-    agent_stop.add_argument("names", nargs="*", metavar="NAME",
-                            help="agents to stop (default: all)")
-
     validate = sub.add_parser(
         "validate", help="measure a workload profile's achieved character")
     validate.add_argument("name", choices=sorted(PROFILES))
@@ -597,35 +538,20 @@ def _cmd_campaign(args) -> int:
     from .harness.supervisor import (CampaignAborted, EXIT_ABORTED,
                                      Supervisor, SupervisorPolicy)
     cfg = _campaign_config(args)
-    fabric = getattr(args, "fabric", None)
-    if fabric and getattr(args, "no_supervise", False):
-        print("error: --fabric requires the supervisor "
-              "(drop --no-supervise)", file=sys.stderr)
-        return 1
     if args.run_dir and not getattr(args, "emit_events", None):
         # a journaled campaign defaults its event log into the run dir
         # so `repro top/status/tail` have something to follow; stderr
         # only — stdout stays byte-identical for the equivalence checks
         args.emit_events = str(pathlib.Path(args.run_dir) / "events.jsonl")
         print(f"events: {args.emit_events}", file=sys.stderr)
-    supervisor = None
-    if not getattr(args, "no_supervise", False):
-        policy = SupervisorPolicy(max_retries=args.max_retries,
-                                  chunk_timeout=args.chunk_timeout,
-                                  chunk_windows=args.chunk_windows)
-        executor = None
-        if fabric:
-            from .harness.executor import RemoteChunkExecutor
-            executor = RemoteChunkExecutor(fabric)
-        if args.run_dir:   # before the journal exists: a run dir with a
-            _save_campaign_args(args)   # journal is always resumable
-        supervisor = Supervisor(policy, run_dir=args.run_dir,
-                                executor=executor)
+    policy = SupervisorPolicy(max_retries=args.max_retries,
+                              chunk_timeout=args.chunk_timeout,
+                              chunk_windows=args.chunk_windows)
+    if args.run_dir:       # before the journal exists: a run dir with a
+        _save_campaign_args(args)       # journal is always resumable
+    supervisor = Supervisor(policy, run_dir=args.run_dir)
     try:
         with _session(cfg, args, supervisor=supervisor) as ctx:
-            if supervisor is None:
-                _print_campaign(ctx, args)
-                return 0
             with supervisor.graceful():
                 _print_campaign(ctx, args)
             _print_quarantine(supervisor)
@@ -634,8 +560,7 @@ def _cmd_campaign(args) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
     finally:
-        if supervisor is not None:
-            supervisor.close()
+        supervisor.close()
 
 
 def _print_campaign(ctx: ExperimentContext, args) -> None:
@@ -691,13 +616,10 @@ def _cmd_resume(args) -> int:
         jobs=args.jobs if args.jobs is not None else saved.get("jobs"),
         no_cache=bool(saved.get("no_cache", False)),
         emit_events=args.emit_events, profile=False,
-        run_dir=str(run_dir), no_supervise=False,
+        run_dir=str(run_dir),
         max_retries=int(saved.get("max_retries", 3)),
         chunk_timeout=saved.get("chunk_timeout"),
-        chunk_windows=int(saved.get("chunk_windows", 8)),
-        # the fabric is an execution venue, not campaign identity —
-        # campaign.json never records it, the resume flag decides
-        fabric=getattr(args, "fabric", None))
+        chunk_windows=int(saved.get("chunk_windows", 8)))
     return _cmd_campaign(namespace)
 
 
@@ -998,32 +920,6 @@ def _cmd_jobs(args) -> int:
     return 0 if response.get("ok") else 1
 
 
-def _cmd_agent(args) -> int:
-    from .harness.agent import AgentDaemon, list_agents, stop_agents
-    if args.agent_command == "start":
-        daemon = AgentDaemon(args.fabric, name=args.name,
-                             slots=args.slots, idle_exit=args.idle_exit)
-        return daemon.run()
-    if args.agent_command == "list":
-        rows = list_agents(args.fabric)
-        if args.as_json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-        else:
-            print(f"{'agent':24s} {'state':12s} {'pid':>7s} "
-                  f"{'slots':>5s} {'busy':>4s} {'done':>5s}")
-            for row in rows:
-                print(f"{row['name']:24s} {row['state']:12s} "
-                      f"{row.get('pid', '-'):>7} "
-                      f"{row.get('slots', '-'):>5} "
-                      f"{row.get('busy', '-'):>4} "
-                      f"{row.get('completed', '-'):>5}")
-        return 0
-    outcomes = stop_agents(args.fabric, names=args.names or None)
-    for outcome in outcomes:
-        print(f"{outcome['name']}: {outcome['result']}")
-    return 0 if all(o["result"] != "unknown" for o in outcomes) else 1
-
-
 def _cmd_validate(args) -> int:
     from .workloads.validation import validate_profile
     report = validate_profile(PROFILES[args.name], args.instructions)
@@ -1034,7 +930,6 @@ def _cmd_validate(args) -> int:
 
 
 _COMMANDS = {
-    "agent": _cmd_agent,
     "list": _cmd_list,
     "run": _cmd_run,
     "bench": _cmd_bench,

@@ -38,7 +38,7 @@ class ThroughputRecord:
     checkpoints_captured: int = 0
     checkpoint_hits: int = 0
     golden_pass_seconds: float = 0.0
-    #: Supervisor instrumentation (zero on unsupervised runs): retry /
+    #: Supervisor instrumentation (zero for cache hits): retry /
     #: watchdog / pool-rebuild counts, windows quarantined as poison,
     #: and chunks adopted from a prior run's journal by `repro resume`.
     retries: int = 0
@@ -69,7 +69,7 @@ class CampaignResult:
     throughput: Optional[ThroughputRecord] = None
     #: Windows the supervisor quarantined as poison instead of running
     #: (:class:`repro.harness.supervisor.QuarantineRecord` instances);
-    #: empty on unsupervised or healthy campaigns. Aggregates above are
+    #: empty on healthy campaigns. Aggregates above are
     #: computed over the windows that *did* run.
     quarantined: List[object] = field(default_factory=list)
 

@@ -132,7 +132,6 @@ class TandemClassifier:
 
     # ------------------------------------------------------------------
     def run(self, records: List[FaultRecord],
-            skip: Sequence[FaultRecord] = (),
             golden: Optional[PipelineCore] = None,
             resume_at_commit: int = 0) -> List[WindowResult]:
         """Classify every fault in *records*.
@@ -143,27 +142,18 @@ class TandemClassifier:
         (``Campaign._space_records`` guarantees it) instead of
         re-deriving golden state per window.
 
-        *skip* is the fast-forward prefix a worker can replay when it has
-        nothing better: the golden core replays those windows (advance +
-        capture, no fault, no tandem copy) so it reaches bit-for-bit the
-        same state the serial classifier would carry into ``records[0]``.
-
-        *golden* skips even that: a caller that already holds the
-        prefix-advanced core — restored from a chunk-boundary
-        :class:`~repro.pipeline.checkpoint.CoreCheckpoint` — passes it
-        directly with *resume_at_commit* set to the commit coordinate it
-        was advanced through, and no replay happens at all.
+        *golden* lets a caller that already holds a prefix-advanced core
+        — the supervisor's live serial golden, or one restored from a
+        chunk-boundary :class:`~repro.pipeline.checkpoint.CoreCheckpoint`
+        — continue from it, with *resume_at_commit* set to the commit
+        coordinate it was advanced through. Without it a fresh core
+        starts from the beginning of the workload.
         """
-        if golden is not None and skip:
-            raise ValueError("pass either a restored golden core or a "
-                             "skip prefix, not both")
-        self._check_contract(skip, records,
+        self._check_contract(records,
                              resume_at_commit if golden is not None else 0)
         if golden is None:
             golden = self.core_factory()
         self._arm_sanitizer(golden)
-        for record in skip:
-            self._skip_window(golden, record)
         results: List[WindowResult] = []
         if self.batch_lanes > 1:
             for start in range(0, len(records), self.batch_lanes):
@@ -217,11 +207,10 @@ class TandemClassifier:
             golden.enable_sanitizer(every=0)
 
     @staticmethod
-    def _check_contract(skip: Sequence[FaultRecord],
-                        records: Sequence[FaultRecord],
+    def _check_contract(records: Sequence[FaultRecord],
                         already_at_commit: int = 0) -> None:
         previous = already_at_commit if already_at_commit else None
-        for record in (*skip, *records):
+        for record in records:
             if previous is not None and record.inject_at_commit < previous:
                 raise ValueError(
                     "fault records must be sorted by inject_at_commit: "
@@ -233,8 +222,8 @@ class TandemClassifier:
 
         Mirrors exactly the golden-side stepping of
         :meth:`_classify_one` (advance to the injection commit, arm the
-        snapshot targets, run to capture) so a chunk worker's golden core
-        is indistinguishable from the serial one. When the serial run
+        snapshot targets, run to capture) so a golden core advanced this
+        way is indistinguishable from the serial one. When the serial run
         would have failed to land the fault it leaves golden parked at
         the injection commit; only LSQ faults can fail, and the decision
         depends on faulty-side stepping, so those are probed on a

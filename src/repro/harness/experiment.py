@@ -5,6 +5,12 @@ which caches the expensive artefacts — generated programs, fault-free
 timing/energy runs, and fault-injection campaigns — so the benches for
 Figures 8, 9, 10, 11 and 12 can share work.
 
+A campaign phase (characterisation, or one scheme's coverage) has one
+route: :meth:`ExperimentContext.run_phase` hands its fault windows to
+:meth:`Supervisor.classify_windows <repro.harness.supervisor.Supervisor.
+classify_windows>`, whether or not the caller asked for supervision —
+without a supervisor the context builds a journal-less one.
+
 The default scale is laptop-sized (thousands of instructions, tens of
 faults per benchmark); the paper's scale (50M-instruction SimPoints,
 15,000 faults) is reachable by raising the config numbers.
@@ -33,6 +39,7 @@ from ..workloads import PROFILES, build_smt_programs
 from .cache import ArtifactCache
 from . import parallel as _parallel
 from .parallel import ContextMetrics, ParallelExecutor
+from .supervisor import Supervisor, SupervisorPolicy
 
 # ----------------------------------------------------------------------
 # scheme registry
@@ -128,7 +135,7 @@ class ExperimentContext:
     """Caches programs, runs and campaigns across figure regenerations.
 
     ``jobs`` sizes the worker pool for campaign/figure fan-out (default
-    ``os.cpu_count()``; ``jobs=1`` is the reference serial path — the
+    ``os.cpu_count()``; ``jobs=1`` runs everything in-process — the
     parallel paths produce bit-for-bit identical results). ``cache`` is
     an optional persistent :class:`~repro.harness.cache.ArtifactCache`;
     when given, fault-free runs, campaigns and coverage phases are
@@ -155,13 +162,15 @@ class ExperimentContext:
         #: :class:`ContextMetrics` throughput record.
         self.metrics_registry = metrics if metrics is not None \
             else NULL_METRICS
-        #: Optional :class:`~repro.harness.supervisor.Supervisor`; when
-        #: given, campaign window fan-outs run under its retry/timeout/
-        #: quarantine/journal protection instead of the bare dispatcher.
-        self.supervisor = supervisor
-        if supervisor is not None:
-            supervisor.bind(jobs=self.jobs, events=self.events,
-                            metrics=self.metrics_registry)
+        #: The :class:`~repro.harness.supervisor.Supervisor` every
+        #: campaign phase's windows run under; without one from the
+        #: caller, a journal-less default (retries and quarantine, no
+        #: run dir, no fsync) that keeps a single-chunk phase in-process.
+        self.supervisor = (supervisor if supervisor is not None
+                           else Supervisor(SupervisorPolicy(
+                               inline_single_chunk=True)))
+        self.supervisor.bind(jobs=self.jobs, events=self.events,
+                             metrics=self.metrics_registry)
         if cache is not None and cache.events is NULL_LOG:
             cache.events = self.events
         if cache is not None and cache.metrics is NULL_METRICS:
@@ -338,64 +347,10 @@ class ExperimentContext:
 
     def campaign(self, benchmark: str) -> Tuple[Campaign, CampaignResult]:
         if benchmark not in self._campaigns:
-            with self.events.span("phase:characterize",
-                                  benchmark=benchmark):
-                campaign = self.build_campaign(benchmark)
-                started = time.perf_counter()
-                characterization = self._cache_get("characterize",
-                                                   benchmark=benchmark)
-                from_cache = characterization is not None
-                cp_stats = _parallel.CheckpointStats()
-                sup_report = None
-                if not from_cache:
-                    if self.supervisor is not None:
-                        sup_report = self.supervisor.classify_windows(
-                            self.cfg, self.hw, benchmark, None,
-                            campaign.records, phase="characterize",
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        windows = sup_report.windows
-                        characterization = CampaignResult(
-                            benchmark, "baseline",
-                            [w.record for w in windows])
-                        characterization.characterization = windows
-                        characterization.quarantined = list(
-                            sup_report.quarantined)
-                    elif self.jobs > 1 and len(campaign.records) > 1:
-                        windows = _parallel.classify_windows_parallel(
-                            self.cfg, self.hw, benchmark, None,
-                            campaign.records, self._executor,
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        characterization = CampaignResult(
-                            benchmark, "baseline",
-                            [w.record for w in windows])
-                        characterization.characterization = windows
-                    else:
-                        characterization = campaign.characterize()
-                    if not characterization.quarantined:
-                        # never cache a partial (quarantine-reduced)
-                        # phase in the shared artifact store
-                        self._cache_put("characterize", characterization,
-                                        benchmark=benchmark)
-                # keep record identity consistent with the result we serve
-                campaign.records = characterization.records
-                elapsed = time.perf_counter() - started
-                windows = len(characterization.characterization)
-                characterization.throughput = ThroughputRecord(
-                    phase="characterize", windows=windows,
-                    wall_seconds=elapsed, jobs=self.jobs,
-                    from_cache=from_cache,
-                    checkpoints_captured=cp_stats.captured,
-                    checkpoint_hits=cp_stats.hits,
-                    golden_pass_seconds=cp_stats.golden_pass_seconds)
-                self._note_supervised(characterization.throughput,
-                                      sup_report)
-                self.metrics.note_phase("characterize", elapsed,
-                                        windows=0 if from_cache else windows)
-                self.metrics_registry.histogram(
-                    "phase_seconds", SECONDS_BUCKETS).observe(elapsed)
-                self._emit_audit(characterization, "characterize")
+            campaign = self.build_campaign(benchmark)
+            characterization = self.run_phase(campaign, None)
+            # keep record identity consistent with the result we serve
+            campaign.records = characterization.records
             self._campaigns[benchmark] = (campaign, characterization)
         return self._campaigns[benchmark]
 
@@ -403,61 +358,64 @@ class ExperimentContext:
         key = (benchmark, scheme)
         if key not in self._coverage:
             campaign, characterization = self.campaign(benchmark)
-            with self.events.span("phase:coverage", benchmark=benchmark,
-                                  scheme=scheme):
-                started = time.perf_counter()
-                result = self._cache_get("coverage", benchmark=benchmark,
-                                         scheme=scheme)
-                from_cache = result is not None
-                cp_stats = _parallel.CheckpointStats()
-                sup_report = None
-                if from_cache:
-                    # re-link to this context's characterisation windows
-                    result.characterization = (
-                        characterization.characterization)
-                else:
-                    sdc_records = Campaign.sdc_records(characterization)
-                    if self.supervisor is not None:
-                        sup_report = self.supervisor.classify_windows(
-                            self.cfg, self.hw, benchmark, scheme,
-                            sdc_records, phase="coverage",
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        result = campaign.collect_coverage(
-                            scheme, characterization, sup_report.windows)
-                        result.quarantined = list(sup_report.quarantined)
-                    elif self.jobs > 1 and len(sdc_records) > 1:
-                        windows = _parallel.classify_windows_parallel(
-                            self.cfg, self.hw, benchmark, scheme,
-                            sdc_records, self._executor,
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        result = campaign.collect_coverage(
-                            scheme, characterization, windows)
-                    else:
-                        result = campaign.run_coverage(
-                            scheme,
-                            lambda: self.make_core(benchmark, scheme),
-                            characterization)
-                    if not result.quarantined:
-                        self._cache_put("coverage", result,
-                                        benchmark=benchmark, scheme=scheme)
-                elapsed = time.perf_counter() - started
-                windows = len(result.coverage_results)
-                result.throughput = ThroughputRecord(
-                    phase="coverage", windows=windows, wall_seconds=elapsed,
-                    jobs=self.jobs, from_cache=from_cache,
-                    checkpoints_captured=cp_stats.captured,
-                    checkpoint_hits=cp_stats.hits,
-                    golden_pass_seconds=cp_stats.golden_pass_seconds)
-                self._note_supervised(result.throughput, sup_report)
-                self.metrics.note_phase("coverage", elapsed,
-                                        windows=0 if from_cache else windows)
-                self.metrics_registry.histogram(
-                    "phase_seconds", SECONDS_BUCKETS).observe(elapsed)
-                self._emit_audit(result, "coverage")
-            self._coverage[key] = result
+            self._coverage[key] = self.run_phase(campaign, scheme,
+                                                 characterization)
         return self._coverage[key]
+
+    def run_phase(self, campaign: Campaign, scheme: Optional[str],
+                  characterization: Optional[CampaignResult] = None
+                  ) -> CampaignResult:
+        """One campaign phase, unmemoised: the characterisation of
+        *campaign*'s fault plan (*scheme* None) or *scheme*'s coverage of
+        *characterization*'s SDC faults — from the artifact cache when it
+        holds the phase, else classified by the supervisor."""
+        benchmark = campaign.benchmark
+        phase = "characterize" if scheme is None else "coverage"
+        parts = dict(benchmark=benchmark)
+        if scheme is not None:
+            parts["scheme"] = scheme
+        with self.events.span(f"phase:{phase}", **parts):
+            started = time.perf_counter()
+            result = self._cache_get(phase, **parts)
+            from_cache = result is not None
+            cp_stats = _parallel.CheckpointStats()
+            report = None
+            if not from_cache:
+                records = (campaign.records if scheme is None
+                           else Campaign.sdc_records(characterization))
+                report = self.supervisor.classify_windows(
+                    self.cfg, self.hw, benchmark, scheme, records,
+                    phase=phase, cache=self.cache, ctx=self,
+                    checkpoint_stats=cp_stats)
+                if scheme is None:
+                    result = CampaignResult(
+                        benchmark, "baseline",
+                        [w.record for w in report.windows])
+                    result.characterization = report.windows
+                else:
+                    result = campaign.collect_coverage(
+                        scheme, characterization, report.windows)
+                result.quarantined = list(report.quarantined)
+                self._store_phase(phase, result, characterization,
+                                  **parts)
+            elapsed = time.perf_counter() - started
+            self.metrics_registry.histogram(
+                "phase_seconds", SECONDS_BUCKETS).observe(elapsed)
+            self._finish_phase(result, phase, from_cache, elapsed,
+                               characterization, cp_stats, report)
+        return result
+
+    def _store_phase(self, phase: str, result: CampaignResult,
+                     characterization: Optional[CampaignResult] = None,
+                     **parts: Any) -> None:
+        """Publish a computed phase to the shared artifact cache unless
+        it is partial: a quarantine-reduced phase, or a coverage phase
+        over a quarantine-reduced characterisation, must never stand in
+        for the complete phase in a later context."""
+        if result.quarantined or (characterization is not None
+                                  and characterization.quarantined):
+            return
+        self._cache_put(phase, result, **parts)
 
     # -- batch fan-out ----------------------------------------------------
     def prefetch(self, fault_free: Sequence[str] = (),
@@ -530,8 +488,8 @@ class ExperimentContext:
             def store_campaign(args: Tuple,
                                characterization: CampaignResult) -> None:
                 _, _, benchmark = args
-                self._cache_put("characterize", characterization,
-                                benchmark=benchmark)
+                self._store_phase("characterize", characterization,
+                                  benchmark=benchmark)
                 self._adopt_characterization(benchmark, characterization,
                                              from_cache=False)
 
@@ -555,9 +513,9 @@ class ExperimentContext:
                                  characterization))
 
         def store_coverage(args: Tuple, result: CampaignResult) -> None:
-            _, _, benchmark, scheme, _ = args
-            self._cache_put("coverage", result, benchmark=benchmark,
-                            scheme=scheme)
+            _, _, benchmark, scheme, characterization = args
+            self._store_phase("coverage", result, characterization,
+                              benchmark=benchmark, scheme=scheme)
             self._adopt_coverage(benchmark, scheme, result,
                                  from_cache=False)
 
@@ -590,35 +548,53 @@ class ExperimentContext:
                                 from_cache: bool) -> None:
         campaign = self.build_campaign(benchmark)
         campaign.records = characterization.records
-        characterization.throughput = ThroughputRecord(
-            phase="characterize",
-            windows=len(characterization.characterization),
-            jobs=self.jobs, from_cache=from_cache)
+        self._finish_phase(characterization, "characterize", from_cache)
         self._campaigns[benchmark] = (campaign, characterization)
-        self._emit_audit(characterization, "characterize")
 
     def _adopt_coverage(self, benchmark: str, scheme: str,
                         result: CampaignResult, from_cache: bool) -> None:
         _, characterization = self.campaign(benchmark)
-        result.characterization = characterization.characterization
-        result.throughput = ThroughputRecord(
-            phase="coverage", windows=len(result.coverage_results),
-            jobs=self.jobs, from_cache=from_cache)
+        self._finish_phase(result, "coverage", from_cache,
+                           characterization=characterization)
         self._coverage[(benchmark, scheme)] = result
-        self._emit_audit(result, "coverage")
 
-    @staticmethod
-    def _note_supervised(throughput: ThroughputRecord,
-                         report) -> None:
-        """Fold a supervisor :class:`PhaseReport`'s counters into the
-        phase's throughput record (no-op on unsupervised runs)."""
-        if report is None:
-            return
-        throughput.retries = report.retries
-        throughput.timeouts = report.timeouts
-        throughput.pool_rebuilds = report.pool_rebuilds
-        throughput.quarantined = len(report.quarantined)
-        throughput.chunks_resumed = report.chunks_resumed
+    def _finish_phase(self, result: CampaignResult, phase: str,
+                      from_cache: bool, elapsed: Optional[float] = None,
+                      characterization: Optional[CampaignResult] = None,
+                      cp_stats=None, report=None) -> None:
+        """The bookkeeping every materialised phase gets exactly once —
+        computed here, loaded from the cache, or adopted from a
+        :meth:`prefetch` worker: throughput record, window count,
+        quarantine status and audit trail. *elapsed* is None for an
+        adopted phase, which was not timed here."""
+        if characterization is not None:
+            # re-link to this context's characterisation windows
+            result.characterization = characterization.characterization
+        windows = len(result.characterization if phase == "characterize"
+                      else result.coverage_results)
+        cp_stats = cp_stats or _parallel.CheckpointStats()
+        result.throughput = ThroughputRecord(
+            phase=phase, windows=windows, wall_seconds=elapsed or 0.0,
+            jobs=self.jobs, from_cache=from_cache,
+            checkpoints_captured=cp_stats.captured,
+            checkpoint_hits=cp_stats.hits,
+            golden_pass_seconds=cp_stats.golden_pass_seconds,
+            quarantined=len(result.quarantined))
+        if report is not None:
+            result.throughput.retries = report.retries
+            result.throughput.timeouts = report.timeouts
+            result.throughput.pool_rebuilds = report.pool_rebuilds
+            result.throughput.chunks_resumed = report.chunks_resumed
+        elif result.quarantined:
+            # adopted from a prefetch worker whose own supervisor
+            # quarantined windows: this context's supervisor reports them
+            self.supervisor.adopt_quarantine(result.quarantined)
+        counted = 0 if from_cache else windows
+        if elapsed is None:
+            self.metrics.windows += counted
+        else:
+            self.metrics.note_phase(phase, elapsed, windows=counted)
+        self._emit_audit(result, phase)
 
     # -- audit trail ------------------------------------------------------
     def _emit_audit(self, result: CampaignResult, phase: str) -> None:
@@ -626,7 +602,8 @@ class ExperimentContext:
         phase's result is first materialised in this context.
 
         Memoisation in :meth:`campaign` / :meth:`coverage` (and the
-        single-shot adopt paths behind :meth:`prefetch`) guarantees each
+        single-shot adopt paths behind :meth:`prefetch`, which share
+        :meth:`_finish_phase`) guarantees each
         (benchmark, scheme, phase) emits exactly once per context, so the
         audit trail's aggregates are identical across serial, parallel
         and warm-cache runs.

@@ -1,32 +1,35 @@
-"""Process-parallel execution layer for campaigns and figure artefacts.
+"""Process-parallel building blocks for campaigns and figure artefacts.
 
-Two fan-out granularities, both bit-for-bit identical to serial
-execution because every worker re-derives its state from the explicit
-seeds in :class:`~repro.harness.experiment.ExperimentConfig` (design
-decision #10 in DESIGN.md — nothing is shared between workers except the
-immutable configuration):
+Everything here is bit-for-bit identical to serial execution because
+every worker re-derives its state from the explicit seeds in
+:class:`~repro.harness.experiment.ExperimentConfig` (design decision #10
+in DESIGN.md — nothing is shared between workers except the immutable
+configuration). Two granularities:
 
 - **artefact level** — whole fault-free timing runs, SRT-iso runs,
   characterisation campaigns and (benchmark, scheme) coverage phases
   are independent given the configuration; :meth:`ExperimentContext.
-  prefetch` fans them out across a worker pool;
-- **window level** — inside one campaign, the planned fault list is
-  split into contiguous chunks; the dispatcher runs *one* golden pass
-  that captures a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at
-  each chunk boundary (reusing cached ones when the artifact cache has
-  them) and ships each worker its boundary checkpoint. Workers restore
-  the checkpoint and classify only their chunk — no per-worker prefix
-  replay, so total golden work is linear in the fault count instead of
-  quadratic. The serial golden core never rewinds, and checkpoint
-  restore is bit-for-bit the state the serial classifier would carry
-  into the chunk.
+  prefetch` fans them out with :class:`ParallelExecutor`. Each worker
+  task runs in a private ``jobs=1`` context, so a whole campaign phase
+  in a worker takes the same supervised serial route as one in the
+  parent;
+- **window level** — the pieces :class:`~repro.harness.supervisor.
+  Supervisor` uses to split one phase's fault list across its pool:
+  :func:`chunk_bounds` / :func:`align_chunk_bounds` cut the list into
+  contiguous chunks, :func:`chunk_checkpoints` runs *one* golden pass
+  capturing a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at each
+  chunk boundary (reusing cached ones when the artifact cache has
+  them), and :func:`window_chunk_task` restores a boundary and
+  classifies only its chunk — total golden work stays linear in the
+  fault count, and checkpoint restore is bit-for-bit the state the
+  serial classifier carries into the chunk.
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``,
 fork start method where available); each keeps a private serial
 ``ExperimentContext`` memoised per (config, hardware) pair so repeated
 tasks for the same configuration share generated programs. If a pool
-cannot be created (restricted sandboxes), execution silently degrades to
-the serial path — same results, no parallelism.
+cannot be created (restricted sandboxes), :class:`ParallelExecutor`
+silently degrades to the serial path — same results, no parallelism.
 """
 
 from __future__ import annotations
@@ -264,10 +267,8 @@ def coverage_task(args) -> CampaignResult:
     with worker_task_span("worker:coverage", benchmark=benchmark,
                           scheme=scheme):
         ctx = _worker_context(cfg, hw)
-        campaign = ctx.build_campaign(benchmark)
-        return campaign.run_coverage(
-            scheme, lambda: ctx.make_core(benchmark, scheme),
-            characterization)
+        return ctx.run_phase(ctx.build_campaign(benchmark), scheme,
+                             characterization)
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +303,7 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                       stats: Optional[CheckpointStats] = None,
                       jobs: int = 1) -> List[CoreCheckpoint]:
     """One golden pass producing a :class:`CoreCheckpoint` per chunk
-    boundary — the linear replacement for per-worker prefix replay.
+    boundary, so no chunk worker steps the golden core from window zero.
 
     Boundaries are visited in ascending window order. A boundary whose
     checkpoint the artifact cache already holds is a hit (no golden work
@@ -406,20 +407,15 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
 def window_chunk_task(args) -> List[WindowResult]:
     """Classify ``records[lo:hi]`` in a chunk worker.
 
-    With a chunk-boundary :class:`CoreCheckpoint` (the 8th task element)
-    the worker restores it and starts classifying immediately; without
-    one it falls back to the golden-only fast-forward through
-    ``records[:lo]`` (the legacy prefix-replay path, kept as the
-    checkpoint-free reference). Scheme None = baseline characterisation.
+    ``args`` is ``(cfg, hw, benchmark, scheme, records, lo, hi,
+    checkpoint)``; scheme None = baseline characterisation. The worker
+    restores the :class:`CoreCheckpoint`, which sits at or before *lo*:
+    a bisected chunk's upper half keeps its parent's boundary, so its
+    golden core first steps through the windows between the two.
     """
-    if len(args) == 7:      # legacy 7-tuple: no checkpoint
-        cfg, hw, benchmark, scheme, records, lo, hi = args
-        checkpoint = None
-    else:
-        cfg, hw, benchmark, scheme, records, lo, hi, checkpoint = args
+    cfg, hw, benchmark, scheme, records, lo, hi, checkpoint = args
     with worker_task_span("worker:window_chunk", benchmark=benchmark,
-                          scheme=scheme or "baseline", lo=lo, hi=hi,
-                          checkpointed=checkpoint is not None):
+                          scheme=scheme or "baseline", lo=lo, hi=hi):
         ctx = _worker_context(cfg, hw)
         campaign = ctx.build_campaign(benchmark)
         if scheme is None:
@@ -430,61 +426,17 @@ def window_chunk_task(args) -> List[WindowResult]:
         # the worker's event spool by the enclosing worker_task_span
         classifier = campaign.classifier(factory,
                                          metrics=worker_metrics())
-        if checkpoint is None:
-            return classifier.run(records[lo:hi], skip=records[:lo])
-        with worker_task_span("checkpoint:restore", window=lo,
+        with worker_task_span("checkpoint:restore",
+                              window=checkpoint.window_index,
                               bytes=checkpoint.nbytes):
             golden = checkpoint.restore()
+        resume = checkpoint.resume_at_commit
+        if checkpoint.window_index < lo:
+            classifier.advance_golden(
+                golden, records[checkpoint.window_index:lo])
+            resume = records[lo - 1].inject_at_commit
         return classifier.run(records[lo:hi], golden=golden,
-                              resume_at_commit=checkpoint.resume_at_commit)
-
-
-def run_chunk_descriptor(descriptor) -> List[WindowResult]:
-    """Classify one shipped fabric chunk descriptor.
-
-    The descriptor (a dict pushed through the fabric store by
-    :class:`repro.harness.executor.RemoteChunkExecutor`) is
-    self-contained — config, hardware, fault plan, window range and the
-    boundary checkpoint — so any agent on any host runs exactly the
-    computation :func:`window_chunk_task` would run for a local pool
-    worker, bit for bit.
-    """
-    return window_chunk_task((
-        descriptor["cfg"], descriptor["hw"], descriptor["benchmark"],
-        descriptor["scheme"], descriptor["records"], descriptor["lo"],
-        descriptor["hi"], descriptor.get("checkpoint")))
-
-
-def classify_windows_parallel(cfg, hw, benchmark: str, scheme,
-                              records: Sequence[FaultRecord],
-                              executor: ParallelExecutor,
-                              cache=None, ctx=None,
-                              use_checkpoints: bool = True,
-                              checkpoint_stats: Optional[CheckpointStats]
-                              = None) -> List[WindowResult]:
-    """Fan one campaign's fault windows out across the pool; results are
-    positionally identical to ``classifier.run(records)``.
-
-    By default the dispatcher runs one golden pass capturing (or, given
-    *cache*, reloading) a checkpoint per chunk boundary and ships each
-    worker its boundary; ``use_checkpoints=False`` keeps the legacy
-    per-worker prefix replay. *checkpoint_stats*, when given, accumulates
-    the dispatcher's capture/hit counts and golden-pass wall-clock.
-    """
-    records = list(records)
-    bounds = align_chunk_bounds(chunk_bounds(len(records), executor.jobs),
-                                records)
-    if use_checkpoints and bounds:
-        checkpoints = chunk_checkpoints(
-            cfg, hw, benchmark, scheme, records, bounds,
-            cache=cache, events=executor.events, ctx=ctx,
-            stats=checkpoint_stats, jobs=executor.jobs)
-    else:
-        checkpoints = [None] * len(bounds)
-    tasks = [(cfg, hw, benchmark, scheme, records, lo, hi, checkpoint)
-             for (lo, hi), checkpoint in zip(bounds, checkpoints)]
-    chunks = executor.map(window_chunk_task, tasks)
-    return [window for chunk in chunks for window in chunk]
+                              resume_at_commit=resume)
 
 
 __all__ = [
@@ -494,12 +446,10 @@ __all__ = [
     "align_chunk_bounds",
     "chunk_bounds",
     "chunk_checkpoints",
-    "classify_windows_parallel",
     "default_jobs",
     "fault_free_task",
     "srt_task",
     "characterize_task",
     "coverage_task",
-    "run_chunk_descriptor",
     "window_chunk_task",
 ]

@@ -117,8 +117,7 @@ def jittered_backoff(attempt: int, base: float = 0.1, cap: float = 5.0,
     ``min(cap, base * 2^(attempt-1))`` stretched by up to *jitter* of
     itself; the jitter fraction is a hash of *salt* and the attempt
     number, so repeated runs (and tests) see identical schedules
-    without an RNG. Shared by the serve client's wait poll and the
-    fabric executor's agent-reconnect loop.
+    without an RNG. Used by the serve client's wait poll.
     """
     delay = min(cap, base * (2.0 ** max(0, attempt - 1)))
     blob = f"{salt}:{attempt}".encode()

@@ -3,8 +3,12 @@
 Large tandem campaigns (thousands of windows per benchmark x scheme)
 must survive the failures they study: a worker segfault, a hung window
 or a Ctrl-C used to kill the whole run and discard every in-flight
-result. The :class:`Supervisor` wraps the window-chunk dispatcher from
-:mod:`repro.harness.parallel` with five layers of protection:
+result. The :class:`Supervisor` is the one route by which a campaign
+phase's fault windows get classified (:class:`~repro.harness.experiment.
+ExperimentContext` builds a journal-less one when the caller passes
+none). It splits the phase into chunks with the window-level helpers in
+:mod:`repro.harness.parallel` and wraps their dispatch in five layers of
+protection:
 
 - **retry with exponential backoff + jitter** — a chunk whose task
   raises, or whose worker dies (``BrokenProcessPool``), is re-enqueued
@@ -31,13 +35,14 @@ result. The :class:`Supervisor` wraps the window-chunk dispatcher from
   downshifts ``jobs`` (8 -> 4 -> ... -> 1 -> in-process) instead of
   aborting, emitting a ``degradation`` event at each step.
 
-Chunk dispatch itself is pluggable: the supervisor hands each phase's
-chunk queue to a :class:`~repro.harness.executor.ChunkExecutor`
-(in-process, local pool, or the distributed fabric's remote executor —
-see :mod:`repro.harness.executor`). All completions and failures flow
-back through the same ``_complete``/``_note_failure``/quarantine/journal
-machinery, so results — and ``repro resume`` — are bit-for-bit identical
-across executor kinds.
+Chunks run in one of two dispatchers, picked per phase: the in-process
+serial dispatcher (``jobs == 1``, after a downshift to in-process, or a
+phase that plans a single chunk under a policy with
+``inline_single_chunk``) threads one live golden core through
+the chunks; the pool dispatcher ships each chunk its boundary
+checkpoint. Both feed the same ``_complete``/``_note_failure``/
+quarantine/journal machinery, so results — and ``repro resume`` — are
+bit-for-bit identical either way.
 
 Chaos knobs (for the chaos-campaign CI job and tests, never set in
 production runs) are read by the *worker-side* task only:
@@ -76,8 +81,6 @@ from ..obs.manifest import config_digest
 from ..obs.metrics import NULL_METRICS
 from . import parallel as _parallel
 from .cache import ArtifactCache
-from .executor import (ChunkExecutor, LocalPoolExecutor,
-                       SerialChunkExecutor)
 
 #: Campaign exit codes (``repro campaign`` / ``repro resume``).
 EXIT_COMPLETE = 0
@@ -195,6 +198,13 @@ class SupervisorPolicy:
     #: Seconds between ``heartbeat`` events while a fan-out is in
     #: flight (worker health for ``repro top``); <= 0 disables them.
     heartbeat_interval: float = 5.0
+    #: Run a phase that plans a single chunk in-process even at
+    #: ``jobs > 1``: no fork and no checkpoint pass, but also no
+    #: watchdog and no crash isolation for that chunk. Off by default,
+    #: so an explicit supervisor (``repro campaign``) keeps the pool's
+    #: protection; the journal-less supervisor an ExperimentContext
+    #: builds for itself turns it on.
+    inline_single_chunk: bool = False
 
 
 @dataclass
@@ -315,6 +325,8 @@ class _Chunk:
     lo: int
     hi: int
     key: str
+    #: boundary checkpoint at or before ``lo`` (a bisected upper half
+    #: keeps its parent's); None for chunks planned on the serial path
     checkpoint: Optional[Any]
     max_attempts: int
     attempts: int = 0
@@ -347,6 +359,7 @@ class _Phase:
     phase: str
     records: List[FaultRecord]
     digest: str
+    plan_digest: str             # content key of the whole fault plan
     window_estimate: float       # golden-pass seconds per window
 
     def task_args(self, chunk: _Chunk) -> Tuple:
@@ -359,9 +372,10 @@ class _Phase:
 # the supervisor
 # ----------------------------------------------------------------------
 class Supervisor:
-    """Fault-tolerant execution layer over the window-chunk dispatcher.
+    """Fault-tolerant execution of campaign phases' window chunks.
 
-    One instance supervises one campaign (both phases). With *run_dir*
+    One instance supervises every phase its context runs (a ``repro
+    campaign`` run dir holds one campaign, both phases). With *run_dir*
     it journals completed chunks and pickles their results under
     ``run_dir/chunks/``, enabling crash-safe resume; without it the
     retry/timeout/quarantine machinery still runs, but an interrupted
@@ -370,13 +384,9 @@ class Supervisor:
 
     def __init__(self, policy: Optional[SupervisorPolicy] = None,
                  run_dir: Optional[str | os.PathLike] = None,
-                 jobs: Optional[int] = None, events=None, metrics=None,
-                 executor: Optional[ChunkExecutor] = None):
+                 jobs: Optional[int] = None, events=None, metrics=None):
         self.policy = policy or SupervisorPolicy()
         self.jobs = max(1, jobs) if jobs is not None else None
-        #: Explicit dispatch override (e.g. the fabric's remote
-        #: executor); None picks serial/pool from the job count.
-        self.executor = executor
         self.events = events if events is not None else NULL_LOG
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.run_dir = pathlib.Path(run_dir) if run_dir else None
@@ -465,6 +475,19 @@ class Supervisor:
                 "complete-with-quarantine": EXIT_QUARANTINE,
                 "aborted": EXIT_ABORTED}[self.status]
 
+    def adopt_quarantine(self,
+                         quarantined: Sequence[QuarantineRecord]) -> None:
+        """Fold windows that another supervisor quarantined for one phase
+        (a :meth:`~repro.harness.experiment.ExperimentContext.prefetch`
+        worker's) into this one's campaign-level status and exit code."""
+        first = quarantined[0]
+        self.reports.append(PhaseReport(
+            phase=first.phase, benchmark=first.benchmark,
+            scheme=first.scheme, status="complete-with-quarantine",
+            quarantined=list(quarantined)))
+        self.metrics.counter("supervisor_quarantined_total").inc(
+            len(quarantined))
+
     # -- main entry ----------------------------------------------------
     def classify_windows(self, cfg, hw, benchmark: str,
                          scheme: Optional[str],
@@ -480,6 +503,8 @@ class Supervisor:
                            scheme=scheme, label=label, phase=phase,
                            records=records,
                            digest=config_digest(cfg, hw),
+                           plan_digest=self._keyer.key("plan",
+                                                       records=records),
                            window_estimate=0.0)
         report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label)
         self.reports.append(report)
@@ -494,10 +519,10 @@ class Supervisor:
 
         gaps = self._gaps(len(records), done, quarantined)
         bounds = self._chunk_gaps(gaps, jobs, records)
-        chunk_executor = self._select_executor(jobs)
+        dispatcher = self._dispatcher(jobs, len(bounds))
         self._emit("plan", phase_ctx, chunks=len(bounds),
                    windows=len(records), resumed=report.chunks_resumed,
-                   executor=chunk_executor.kind)
+                   executor=dispatcher)
         if self.journal is not None:
             self.journal.append({
                 "type": "plan", "phase": phase, "benchmark": benchmark,
@@ -510,7 +535,7 @@ class Supervisor:
         self._progress(phase_ctx, report)
 
         if bounds:
-            if not chunk_executor.needs_checkpoints:
+            if dispatcher == "serial":
                 # the serial dispatcher threads one live golden core
                 # through the chunks — no checkpoint golden pass needed
                 checkpoints: List[Any] = [None] * len(bounds)
@@ -530,9 +555,12 @@ class Supervisor:
                        checkpoint,
                        max_attempts=self.policy.max_retries + 1)
                 for (lo, hi), checkpoint in zip(bounds, checkpoints))
-            chunk_executor.run_phase(self, phase_ctx, chunks, done,
-                                     quarantined, report, jobs=jobs,
-                                     ctx=ctx)
+            if dispatcher == "serial":
+                self._run_serial(phase_ctx, chunks, done, quarantined,
+                                 report, ctx=ctx)
+            else:
+                self._run_pool(phase_ctx, chunks, done, quarantined,
+                               report, jobs=jobs, ctx=ctx)
 
         if report.status == "aborted":
             if self.journal is not None:
@@ -556,31 +584,30 @@ class Supervisor:
                    quarantined=len(report.quarantined))
         return report
 
-    # -- executor selection --------------------------------------------
-    def _select_executor(self, jobs: int) -> ChunkExecutor:
-        """The dispatcher for this fan-out: a forced-serial downshift
-        always wins (the pool machinery has already proven unusable),
-        then an explicit executor (``--fabric``), then serial/pool by
-        job count."""
-        if self._force_serial:
-            return SerialChunkExecutor()
-        if self.executor is not None:
-            return self.executor
-        if jobs == 1:
-            return SerialChunkExecutor()
-        return LocalPoolExecutor()
+    # -- dispatcher selection ------------------------------------------
+    def _dispatcher(self, jobs: int, chunks: int) -> str:
+        """``"serial"`` or ``"pool"`` for one fan-out: in-process after a
+        downshift (the pool has already proven unusable), at ``jobs ==
+        1``, and for a single-chunk phase when the policy allows it
+        (``inline_single_chunk``); the worker pool otherwise."""
+        if self._force_serial or jobs == 1:
+            return "serial"
+        if chunks == 1 and self.policy.inline_single_chunk:
+            return "serial"
+        return "pool"
 
     # -- chunk identity and resume -------------------------------------
     def _chunk_key(self, phase_ctx: _Phase, lo: int, hi: int) -> str:
         """Content-addressed chunk identity: configuration, phase, the
-        full fault plan and the window range — the same digest family
-        the artifact cache uses, so a journal line proves exactly which
-        computation it stands for."""
+        full fault plan (digested once per phase, so keying a phase's
+        chunks stays linear in its size) and the window range — the
+        same digest family the artifact cache uses, so a journal line
+        proves exactly which computation it stands for."""
         return self._keyer.key(
             "chunk", cfg=phase_ctx.cfg, hw=phase_ctx.hw,
             benchmark=phase_ctx.benchmark, scheme=phase_ctx.label,
             phase=phase_ctx.phase, lo=lo, hi=hi,
-            records=phase_ctx.records)
+            plan=phase_ctx.plan_digest)
 
     def _load_journal_state(self, phase_ctx: _Phase,
                             done: Dict[int, Tuple[int, List[WindowResult]]],
@@ -675,9 +702,9 @@ class Supervisor:
         """In-process execution threading one live golden core through
         the chunks in window order.
 
-        No checkpoint golden pass and no per-chunk prefix replay: a
-        healthy supervised serial campaign does exactly the simulation
-        work of the plain serial classifier, plus one in-memory
+        No checkpoint golden pass and no per-chunk golden replay: a
+        healthy serial phase does exactly the simulation work of
+        ``Campaign.characterize`` / ``run_coverage``, plus one in-memory
         ``clone()`` per chunk boundary kept as the rewind point for
         retries. Same retry/bisect/quarantine semantics as the pool; no
         watchdog (a single process cannot preempt itself; SIGKILL-grade
@@ -1145,11 +1172,11 @@ class Supervisor:
                               self._chunk_key(phase_ctx, chunk.lo, mid),
                               chunk.checkpoint, max_attempts=budget,
                               suspect=chunk.suspect, rewind=chunk.rewind))
-        # the upper half loses its boundary checkpoint and falls back to
-        # the golden prefix-replay path inside window_chunk_task
+        # the upper half keeps the parent's boundary checkpoint too: the
+        # worker steps its golden core from there through [lo, mid)
         pending.append(_Chunk(mid, chunk.hi,
                               self._chunk_key(phase_ctx, mid, chunk.hi),
-                              None, max_attempts=budget,
+                              chunk.checkpoint, max_attempts=budget,
                               suspect=chunk.suspect))
 
     def _quarantine(self, phase_ctx: _Phase, chunk: _Chunk,

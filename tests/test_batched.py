@@ -4,7 +4,7 @@ The tentpole contract: grouping faults into lane batches is a pure
 accelerator. Characterisation windows, coverage results, Figure 11
 outcomes, audit aggregates and the golden core's own evolution
 (``cycles_elided`` included) are bit-for-bit identical for any
-``batch_lanes`` — serial, parallel-chunked and supervised alike — and
+``batch_lanes`` — unchunked, serial-chunked and pooled alike — and
 masked faults on free registers never leave dormancy (never pay a
 clone).
 """
@@ -22,8 +22,7 @@ from repro.faults.model import (FaultClass, FaultRecord, FaultSite,
                                 RegStatus)
 from repro.harness.experiment import (SCHEMES, ExperimentConfig,
                                       ExperimentContext)
-from repro.harness.parallel import (align_chunk_bounds, chunk_bounds,
-                                    classify_windows_parallel)
+from repro.harness.parallel import align_chunk_bounds, chunk_bounds
 from repro.harness.supervisor import Supervisor, SupervisorPolicy
 from repro.obs.audit import audit_aggregates, audit_records
 from repro.pipeline import CoreCheckpoint
@@ -72,9 +71,13 @@ def _golden_signature(core):
 class TestBatchedEquivalence:
     @pytest.fixture(scope="class")
     def scalar(self):
+        # the unchunked scalar Campaign reference, outside the supervisor
         ctx = ExperimentContext(_TINY, jobs=1)
-        _, characterization = ctx.campaign("mcf")
-        coverage = ctx.coverage("mcf", "faulthound")
+        campaign = ctx.build_campaign("mcf")
+        characterization = campaign.characterize()
+        coverage = campaign.run_coverage(
+            "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
+            characterization)
         return characterization, coverage
 
     @pytest.fixture(scope="class")
@@ -125,9 +128,10 @@ class TestBatchedEquivalence:
         ctx = ExperimentContext(_BATCHED, jobs=3)
         campaign = ctx.build_campaign("mcf")
         fresh = [r.fresh_copy() for r in campaign.records]
-        windows = classify_windows_parallel(_BATCHED, ctx.hw, "mcf", None,
-                                            fresh, ctx._executor)
-        assert windows == scalar[0].characterization
+        report = ctx.supervisor.classify_windows(
+            _BATCHED, ctx.hw, "mcf", None, fresh, phase="characterize",
+            ctx=ctx)
+        assert report.windows == scalar[0].characterization
 
     def test_supervised_pool_matches_scalar_serial(self, scalar, tmp_path):
         sup = Supervisor(SupervisorPolicy(chunk_windows=3),

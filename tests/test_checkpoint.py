@@ -1,10 +1,11 @@
 """Checkpoint/restore subsystem tests.
 
 The tentpole contract: the purpose-built ``clone()`` protocol, the
-pickled :class:`CoreCheckpoint`, and the dispatcher's cached golden pass
-are pure accelerators — serial, checkpointed-serial, parallel and
-warm-cache classification are bit-for-bit identical, and the never-
-rewind contract survives the hand-off.
+pickled :class:`CoreCheckpoint`, and the supervisor's cached golden
+pass are pure accelerators — the unchunked ``Campaign`` reference,
+checkpointed-serial, supervised-pool and warm-cache classification are
+bit-for-bit identical, and the never-rewind contract survives the
+hand-off.
 """
 
 import copy
@@ -20,7 +21,6 @@ from repro.harness import parallel as parallel_module
 from repro.harness.cache import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
 from repro.harness.parallel import (CheckpointStats, chunk_bounds,
-                                    classify_windows_parallel,
                                     window_chunk_task)
 from repro.pipeline import (CoreCheckpoint, capture_checkpoint,
                             restore_checkpoint)
@@ -157,13 +157,6 @@ class TestNeverRewind:
         campaign = ctx.build_campaign("mcf")
         return campaign, campaign.classifier(campaign.baseline_factory)
 
-    def test_golden_and_skip_are_mutually_exclusive(self):
-        campaign, classifier = self._classifier()
-        golden = campaign.baseline_factory()
-        with pytest.raises(ValueError, match="not both"):
-            classifier.run(campaign.records[2:], skip=campaign.records[:2],
-                           golden=golden)
-
     def test_resume_at_commit_enforces_the_contract(self):
         campaign, classifier = self._classifier()
         golden = campaign.baseline_factory()
@@ -228,8 +221,9 @@ class TestChunkEdges:
 
     def test_empty_records_classify_to_nothing(self):
         ctx = ExperimentContext(_TINY, jobs=2)
-        assert classify_windows_parallel(
-            _TINY, ctx.hw, "mcf", None, [], ctx._executor) == []
+        report = ctx.supervisor.classify_windows(
+            _TINY, ctx.hw, "mcf", None, [], phase="characterize", ctx=ctx)
+        assert report.windows == []
 
 
 class TestChunkOrdering:
@@ -242,23 +236,28 @@ class TestChunkOrdering:
             [r.fresh_copy() for r in campaign.records])
 
     def test_chunk_tasks_match_serial_order(self, serial_windows):
-        # Legacy 7-tuple (prefix replay) and checkpointed 8-tuple tasks
-        # must both reproduce the serial classification, in order.
+        # Checkpointed chunk tasks reproduce the serial classification,
+        # in order — also when a chunk restores an earlier boundary than
+        # its own (a bisected upper half keeps its parent's checkpoint).
         records, serial = serial_windows
         ctx = ExperimentContext(_TINY, jobs=1)
         fresh = [r.fresh_copy() for r in records]
         bounds = chunk_bounds(len(fresh), 3)
-        legacy = [w for lo, hi in bounds for w in window_chunk_task(
-            (_TINY, ctx.hw, "mcf", None, fresh, lo, hi))]
-        assert legacy == serial
-
-        fresh = [r.fresh_copy() for r in records]
         checkpoints = parallel_module.chunk_checkpoints(
             _TINY, ctx.hw, "mcf", None, fresh, bounds)
         shipped = [w for (lo, hi), cp in zip(bounds, checkpoints)
                    for w in window_chunk_task(
                        (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, cp))]
         assert shipped == serial
+
+        fresh = [r.fresh_copy() for r in records]
+        start = parallel_module.chunk_checkpoints(
+            _TINY, ctx.hw, "mcf", None, fresh, [(0, len(fresh))])[0]
+        split = len(fresh) // 2
+        halves = [w for lo, hi in ((0, split), (split, len(fresh)))
+                  for w in window_chunk_task(
+                      (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, start))]
+        assert halves == serial
 
 
 # ----------------------------------------------------------------------
@@ -282,15 +281,19 @@ def _cov_signature(result):
 class TestFourPathEquivalence:
     @pytest.fixture(scope="class")
     def serial(self):
+        # the unchunked Campaign reference, outside the supervisor
         ctx = ExperimentContext(_TINY, jobs=1)
-        _, characterization = ctx.campaign("mcf")
-        return characterization, ctx.coverage("mcf", "faulthound")
+        campaign = ctx.build_campaign("mcf")
+        characterization = campaign.characterize()
+        return characterization, campaign.run_coverage(
+            "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
+            characterization)
 
     def test_parallel_checkpointed_and_warm_cache(self, serial, tmp_path):
         serial_char, serial_cov = serial
         cache = ArtifactCache(tmp_path)
 
-        # cold: parallel dispatcher captures checkpoints, persists them
+        # cold: the supervised pool captures checkpoints, persists them
         cold = ExperimentContext(_TINY, jobs=3, cache=cache)
         _, cold_char = cold.campaign("mcf")
         cold_cov = cold.coverage("mcf", "faulthound")
@@ -350,18 +353,22 @@ class TestFourPathEquivalence:
     def test_checkpoint_cache_stats_flow_into_metrics(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         ctx = ExperimentContext(_TINY, jobs=2, cache=cache)
-        stats = CheckpointStats()
         campaign = ctx.build_campaign("mcf")
-        classify_windows_parallel(_TINY, ctx.hw, "mcf", None,
-                                  campaign.records, ctx._executor,
-                                  cache=cache, ctx=ctx,
-                                  checkpoint_stats=stats)
-        assert stats.captured == len(chunk_bounds(len(campaign.records), 2))
+
+        def classify(stats):
+            ctx.supervisor.classify_windows(
+                _TINY, ctx.hw, "mcf", None,
+                [r.fresh_copy() for r in campaign.records],
+                phase="characterize", cache=cache, ctx=ctx,
+                checkpoint_stats=stats)
+
+        stats = CheckpointStats()
+        classify(stats)
+        planned = ctx.supervisor._chunk_gaps(
+            [(0, len(campaign.records))], 2, campaign.records)
+        assert stats.captured == len(planned) > 1
         assert stats.hits == 0
         rerun = CheckpointStats()
-        classify_windows_parallel(_TINY, ctx.hw, "mcf", None,
-                                  campaign.records, ctx._executor,
-                                  cache=cache, ctx=ctx,
-                                  checkpoint_stats=rerun)
+        classify(rerun)
         assert rerun.captured == 0
         assert rerun.hits == stats.captured

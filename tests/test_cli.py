@@ -79,6 +79,20 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["campaign", "mcf", "--no-supervise"],
+    ["campaign", "mcf", "--fabric", "fab"],
+    ["resume", "run", "--fabric", "fab"],
+    ["agent", "list", "--fabric", "fab"],
+])
+def test_parser_has_one_campaign_route(argv):
+    """Every campaign runs under the supervisor on this host: the
+    unsupervised and agent-fabric knobs are gone, not ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+
+
 def test_campaign_rejects_batch_lanes_below_one(capsys):
     """Regression: K < 1 used to be silently clamped to the scalar
     path; now the parser rejects it outright."""

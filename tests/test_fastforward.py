@@ -19,7 +19,7 @@ from repro.core import FaultHoundUnit
 from repro.faults import Campaign, FaultClass
 from repro.harness.diff import run_corpus
 from repro.pipeline import PipelineCore
-from repro.pipeline.checkpoint import capture_checkpoint
+from repro.pipeline.checkpoint import CoreCheckpoint, capture_checkpoint
 from repro.pipeline.debugger import PipelineDebugger
 from repro.pipeline.stats import PipelineStats
 from repro.workloads import PROFILES, build_smt_programs
@@ -200,7 +200,8 @@ def test_campaign_characterization_bit_for_bit(monkeypatch, screening):
 
 
 def test_chunk_replay_matches_serial_tail():
-    """A parallel worker replays the skip prefix and must classify its
+    """A pool worker restores its chunk-boundary checkpoint (captured
+    after the golden pass replays the prefix) and must classify its
     chunk bit-for-bit like the serial classifier's tail (with fast-
     forward active on both sides)."""
     serial = _campaign(seed=7)
@@ -208,8 +209,15 @@ def test_chunk_replay_matches_serial_tail():
 
     chunked = _campaign(seed=7)
     split = len(chunked.records) // 2
-    tail = chunked.classifier(chunked.baseline_factory).run(
-        chunked.records[split:], skip=chunked.records[:split])
+    classifier = chunked.classifier(chunked.baseline_factory)
+    golden = chunked.baseline_factory()
+    classifier.advance_golden(golden, chunked.records[:split])
+    checkpoint = CoreCheckpoint.capture(
+        golden, window_index=split,
+        resume_at_commit=chunked.records[split - 1].inject_at_commit)
+    tail = classifier.run(chunked.records[split:],
+                          golden=checkpoint.restore(),
+                          resume_at_commit=checkpoint.resume_at_commit)
     assert _window_digest(tail) == _window_digest(whole[split:])
 
 

@@ -164,9 +164,13 @@ class TestSrtKey:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serial_results():
+    # the unchunked Campaign reference, outside the supervisor
     ctx = ExperimentContext(_TINY, jobs=1)
-    _, characterization = ctx.campaign("mcf")
-    coverage = ctx.coverage("mcf", "faulthound")
+    campaign = ctx.build_campaign("mcf")
+    characterization = campaign.characterize()
+    coverage = campaign.run_coverage(
+        "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
+        characterization)
     return characterization, coverage
 
 
@@ -209,3 +213,20 @@ class TestParallelEquivalence:
         run_warm = warm.fault_free("mcf", "baseline")
         assert run_warm == run_cold
         assert warm.metrics.cache_hits == 1
+
+
+class TestContextMetrics:
+    def test_prefetch_counts_every_classified_window(self):
+        """Phases adopted from prefetch workers count their windows once,
+        exactly like phases classified in the parent."""
+        # a geometry whose plan yields SDCs, so coverage classifies too
+        cfg = ExperimentConfig(benchmarks=("mcf",), dynamic_target=2_200,
+                               num_faults=10, warmup_commits=400,
+                               window_commits=150)
+        ctx = ExperimentContext(cfg, jobs=2)
+        ctx.prefetch(campaigns=True, coverage=("faulthound",))
+        _, characterization = ctx.campaign("mcf")
+        coverage = ctx.coverage("mcf", "faulthound")
+        assert len(coverage.coverage_results) > 0
+        assert ctx.metrics.windows == (len(characterization.characterization)
+                                       + len(coverage.coverage_results))

@@ -20,8 +20,9 @@ import pytest
 
 from repro.harness.client import ServeClient
 from repro.harness.server import (JobServer, ServeError, derive_job_state,
-                                  job_doc_from_submission, job_summary,
-                                  pid_alive, read_json, socket_path_for)
+                                  jittered_backoff, job_doc_from_submission,
+                                  job_summary, pid_alive, read_json,
+                                  socket_path_for)
 
 _SPEC = {"kind": "repro.campaign.src", "version": 1, "name": "t",
          "defaults": {"benchmark": "mcf", "faults": 10,
@@ -161,7 +162,6 @@ class TestWaitBackoff:
                    in zip(delays[:6], delays[1:7]))
         # ...capped at 5 s, and deterministic for replayable tests
         assert all(delay <= 5.0 for delay in delays)
-        from repro.harness.server import jittered_backoff
         assert delays[0] == jittered_backoff(1, base=0.05, cap=5.0,
                                              salt=job_id)
 
@@ -183,6 +183,32 @@ class TestWaitBackoff:
         with pytest.raises(ServeError, match="timed out"):
             client.wait(job_id, timeout=30.0)
         assert clock[0] <= 30.0 + 5.0    # delays clipped to the deadline
+
+
+class TestJitteredBackoff:
+    def test_grows_exponentially_and_caps(self):
+        delays = [jittered_backoff(n, base=0.1, cap=5.0, jitter=0.0)
+                  for n in range(1, 12)]
+        assert delays[0] == pytest.approx(0.1)
+        assert delays[1] == pytest.approx(0.2)
+        assert delays[2] == pytest.approx(0.4)
+        assert max(delays) <= 5.0
+        assert delays[-1] == 5.0
+
+    def test_jitter_is_deterministic_and_bounded(self):
+        for attempt in (1, 3, 7):
+            a = jittered_backoff(attempt, base=0.1, cap=5.0, salt="x")
+            b = jittered_backoff(attempt, base=0.1, cap=5.0, salt="x")
+            assert a == b                      # no RNG: replayable
+            plain = jittered_backoff(attempt, base=0.1, cap=5.0,
+                                     jitter=0.0)
+            assert plain <= a <= min(5.0, plain * 1.5)
+
+    def test_salt_decorrelates_callers(self):
+        spread = {jittered_backoff(4, base=0.1, cap=5.0,
+                                   salt=f"job-{i}")
+                  for i in range(8)}
+        assert len(spread) > 1
 
 
 class TestJobDocs:

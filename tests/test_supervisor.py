@@ -3,8 +3,9 @@
 The contract under test: supervision is a pure reliability layer — on a
 healthy machine the supervised serial, supervised pool, crash-retried
 and resumed-after-SIGKILL paths all yield bit-for-bit the results of the
-plain serial classifier, and a deterministically poisonous window is
-bisected and quarantined without taking its neighbours down with it.
+unchunked ``Campaign.characterize`` / ``run_coverage`` reference, and a
+deterministically poisonous window is bisected and quarantined without
+taking its neighbours down with it.
 
 Worker chaos is injected through the ``REPRO_CHAOS_*`` environment
 variables read by :func:`repro.harness.supervisor.chaos_probe`, which
@@ -19,9 +20,11 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.faults import Campaign
 from repro.harness import (ExperimentConfig, ExperimentContext, Supervisor,
                            SupervisorPolicy, read_poisoned,
                            summarize_run_dir)
@@ -40,10 +43,78 @@ _FAST_BACKOFF = dict(backoff_base=0.01, backoff_max=0.05)
 
 @pytest.fixture(scope="module")
 def serial_reference():
+    # the unchunked Campaign reference, outside the supervisor
     ctx = ExperimentContext(_TINY, jobs=1)
-    _, characterization = ctx.campaign("mcf")
-    coverage = ctx.coverage("mcf", "faulthound")
+    campaign = ctx.build_campaign("mcf")
+    characterization = campaign.characterize()
+    coverage = campaign.run_coverage(
+        "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
+        characterization)
     return characterization, coverage
+
+
+# ----------------------------------------------------------------------
+# dispatcher selection
+# ----------------------------------------------------------------------
+class TestSelection:
+    def test_jobs_1_selects_serial(self):
+        sup = Supervisor(SupervisorPolicy())
+        assert sup._dispatcher(1, chunks=4) == "serial"
+
+    def test_jobs_many_selects_pool(self):
+        sup = Supervisor(SupervisorPolicy())
+        assert sup._dispatcher(4, chunks=4) == "pool"
+
+    def test_single_chunk_uses_pool_by_default(self):
+        """An explicit supervisor keeps the pool's watchdog and crash
+        isolation even for a one-chunk phase."""
+        sup = Supervisor(SupervisorPolicy())
+        assert sup._dispatcher(4, chunks=1) == "pool"
+
+    def test_inline_single_chunk_selects_serial(self):
+        sup = Supervisor(SupervisorPolicy(inline_single_chunk=True))
+        assert sup._dispatcher(4, chunks=1) == "serial"
+        assert sup._dispatcher(4, chunks=2) == "pool"
+
+    def test_force_serial_overrides_everything(self):
+        sup = Supervisor(SupervisorPolicy())
+        sup._force_serial = True
+        assert sup._dispatcher(4, chunks=4) == "serial"
+
+    def test_single_chunk_phase_stays_in_process(self, serial_reference,
+                                                 monkeypatch, tmp_path):
+        """Under the context's own supervisor, a one-SDC coverage phase
+        at jobs>1 plans one chunk and runs it in-process: no pool, no
+        checkpoint golden pass."""
+        from repro.obs import EventLog, read_events
+        s_char, s_cov = serial_reference
+
+        def no_pool(self, phase_ctx, workers, report):
+            raise AssertionError("a single-chunk phase built a pool")
+
+        monkeypatch.setattr(Supervisor, "_build_pool", no_pool)
+        events_path = tmp_path / "events.jsonl"
+        events = EventLog(events_path)
+        ctx = ExperimentContext(_TINY, jobs=3, events=events)
+        sdc = Campaign.sdc_records(s_char)[:1]
+        report = ctx.supervisor.classify_windows(
+            _TINY, ctx.hw, "mcf", "faulthound", sdc, phase="coverage",
+            ctx=ctx)
+        events.close()
+        assert report.windows == s_cov.coverage_results[:1]
+        plans = [e for e in read_events(events_path)
+                 if e.get("type") == "supervisor"
+                 and e.get("action") == "plan"]
+        assert [(p["chunks"], p["executor"]) for p in plans] \
+            == [(1, "serial")]
+
+    def test_context_builds_a_journal_less_supervisor(self):
+        ctx = ExperimentContext(_TINY, jobs=2)
+        assert isinstance(ctx.supervisor, Supervisor)
+        assert ctx.supervisor.jobs == 2
+        assert ctx.supervisor.run_dir is None
+        assert ctx.supervisor.journal is None
+        assert ctx.supervisor.policy.inline_single_chunk
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +268,37 @@ class TestQuarantine:
                     if i != 2]
         assert characterization.characterization == expected
 
+    def test_hung_single_window_phase_times_out_and_quarantines(
+            self, serial_reference, monkeypatch, tmp_path):
+        """A one-window phase under an explicit supervisor at jobs>1
+        still runs in the pool, so the watchdog catches a hang."""
+        from repro.obs import EventLog, read_events
+        s_char, _ = serial_reference
+        monkeypatch.setenv("REPRO_CHAOS_HANG", "faulthound:0")
+        events_path = tmp_path / "events.jsonl"
+        events = EventLog(events_path)
+        sup = Supervisor(SupervisorPolicy(max_retries=1, bisect_retries=0,
+                                          chunk_timeout=1.5,
+                                          soft_timeout_factor=0.0,
+                                          **_FAST_BACKOFF),
+                         run_dir=tmp_path / "run")
+        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
+                                events=events)
+        sdc = Campaign.sdc_records(s_char)[:1]
+        report = sup.classify_windows(_TINY, ctx.hw, "mcf", "faulthound",
+                                      sdc, phase="coverage", ctx=ctx)
+        sup.close()
+        events.close()
+        assert report.windows == []
+        assert [(q.index, q.reason) for q in report.quarantined] \
+            == [(0, "timeout")]
+        assert report.timeouts > 0
+        plans = [e for e in read_events(events_path)
+                 if e.get("type") == "supervisor"
+                 and e.get("action") == "plan"]
+        assert [(p["chunks"], p["executor"]) for p in plans] \
+            == [(1, "pool")]
+
     def test_chaos_index_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_POISON",
                            "baseline:4, faulthound:2, 7")
@@ -309,6 +411,41 @@ class TestDownshiftLadder:
         assert [q.index for q in sup.quarantined] == [0]
         assert characterization.quarantined == sup.quarantined
         assert not list((tmp_path / "cache").rglob("characterize/*.pkl"))
+
+
+    def test_prefetch_never_caches_partial_results(self, monkeypatch,
+                                                   tmp_path):
+        """Phases that prefetch workers classify under their own
+        supervisors obey the same rule: a worker's quarantine keeps the
+        phase (and any coverage over it) out of the artifact cache, and
+        the parent's supervisor reports it."""
+        from repro.faults.classifier import TandemClassifier
+        from repro.harness import ArtifactCache
+        from repro.harness import parallel
+        # a fresh worker-context memo, so an in-process fallback cannot
+        # leak poisoned contexts into later tests
+        monkeypatch.setattr(parallel, "_WORKER_CONTEXTS", {})
+        real_run = TandemClassifier.run
+
+        def poisoned(self, records, **kwargs):
+            if any(record.index == 0 for record in records):
+                raise RuntimeError("injected deterministic poison")
+            return real_run(self, records, **kwargs)
+
+        monkeypatch.setattr(TandemClassifier, "run", poisoned)
+        cfg = replace(_TINY, benchmarks=("mcf", "bzip2"))
+        cache = ArtifactCache(tmp_path / "cache")
+        ctx = ExperimentContext(cfg, jobs=2, cache=cache)
+        ctx.prefetch(campaigns=True, coverage=("faulthound",))
+        for benchmark in cfg.benchmarks:
+            _, characterization = ctx.campaign(benchmark)
+            assert [q.index for q in characterization.quarantined] == [0]
+            assert characterization.throughput.quarantined == 1
+        assert ctx.supervisor.status == "complete-with-quarantine"
+        assert sorted(q.benchmark for q in ctx.supervisor.quarantined
+                      if q.phase == "characterize") == ["bzip2", "mcf"]
+        assert not list((tmp_path / "cache").rglob("characterize/*.pkl"))
+        assert not list((tmp_path / "cache").rglob("coverage/*.pkl"))
 
 
 # ----------------------------------------------------------------------

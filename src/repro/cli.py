@@ -113,20 +113,35 @@ _SCALES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 — a value below the
-    bound is a parser error, never a silent clamp."""
+def _bounded(text: str, convert, kind: str, ok, bound: str):
+    """Parse *text* with *convert*; a value outside the bound is a
+    parser error, never a silent clamp."""
     try:
-        value = int(text)
+        value = convert(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {bound} (got {value})")
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1."""
+    return _bounded(text, int, "an integer", lambda v: v >= 1, ">= 1")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts that may be zero."""
+    return _bounded(text, int, "an integer", lambda v: v >= 0, ">= 0")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for durations that must be > 0."""
+    return _bounded(text, float, "a number", lambda v: v > 0, "> 0")
+
+
 def _add_exec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=int, default=None,
+    sub.add_argument("--jobs", type=_positive_int, default=None,
                      help="worker processes for campaign/figure fan-out "
                           "(default: all CPUs; 1 = serial)")
     sub.add_argument("--no-cache", action="store_true",
@@ -144,15 +159,15 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--run-dir", metavar="DIR", default=None,
                      help="journal campaign progress crash-safely into "
                           "DIR (enables `repro resume DIR`)")
-    sub.add_argument("--max-retries", type=int, default=3,
+    sub.add_argument("--max-retries", type=_non_negative_int, default=3,
                      help="extra attempts per window chunk before "
                           "bisecting toward quarantine (default 3)")
-    sub.add_argument("--chunk-timeout", type=float, default=None,
+    sub.add_argument("--chunk-timeout", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="hard watchdog deadline per chunk attempt "
                           "(default: soft deadline only, derived from "
                           "golden-pass throughput)")
-    sub.add_argument("--chunk-windows", type=int, default=8,
+    sub.add_argument("--chunk-windows", type=_positive_int, default=8,
                      help="target windows per supervised chunk — the "
                           "journal/retry granularity (default 8)")
 
@@ -241,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "directory's crash-safe journal")
     resume.add_argument("run_dir", help="the --run-dir of the "
                                         "interrupted campaign")
-    resume.add_argument("--jobs", type=int, default=None,
+    resume.add_argument("--jobs", type=_positive_int, default=None,
                         help="override the original worker count")
     resume.add_argument("--emit-events", metavar="PATH", default=None,
                         help="write this resume's event log to PATH")
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "one-shot CLI parity")
     serve.add_argument("serve_dir", metavar="DIR",
                        help="serve directory (queue, job state, logs)")
-    serve.add_argument("--jobs", type=int, default=None,
+    serve.add_argument("--jobs", type=_positive_int, default=None,
                        help="total worker budget shared across active "
                             "jobs (default: each task decides)")
     serve.add_argument("--max-active", type=_positive_int, default=1,
@@ -592,6 +607,11 @@ def _print_quarantine(supervisor) -> None:
               file=sys.stderr)
 
 
+#: campaign.json fields ``repro resume`` re-validates before running
+_RESUME_CHECKED = ("batch_lanes", "jobs", "max_retries", "chunk_timeout",
+                   "chunk_windows")
+
+
 def _cmd_resume(args) -> int:
     run_dir = pathlib.Path(args.run_dir)
     manifest = run_dir / "campaign.json"
@@ -604,10 +624,16 @@ def _cmd_resume(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: unreadable {manifest}: {exc}", file=sys.stderr)
         return 1
-    if int(saved.get("batch_lanes", 1)) < 1:
-        print(f"error: {manifest} records batch_lanes="
-              f"{saved.get('batch_lanes')}; must be >= 1",
-              file=sys.stderr)
+    # the saved execution arguments obey the bounds the parser and the
+    # spec compiler enforce: a bad value is an error, never a clamp
+    from .harness.spec import validate_task
+    task = {field: saved[field] for field in _RESUME_CHECKED
+            if field in saved}
+    task.update(benchmark=saved.get("name"), scheme=saved.get("scheme"))
+    errors = validate_task(task, where=str(manifest))
+    if errors:
+        for error in errors:
+            print(f"error: {error}", file=sys.stderr)
         return 1
     namespace = argparse.Namespace(
         command="campaign", name=saved["name"], scheme=saved["scheme"],

@@ -16,13 +16,13 @@ configuration). Two granularities:
 - **window level** — the pieces :class:`~repro.harness.supervisor.
   Supervisor` uses to split one phase's fault list across its pool:
   :func:`chunk_bounds` / :func:`align_chunk_bounds` cut the list into
-  contiguous chunks, :func:`chunk_checkpoints` runs *one* golden pass
-  capturing a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at each
-  chunk boundary (reusing cached ones when the artifact cache has
-  them), and :func:`window_chunk_task` restores a boundary and
-  classifies only its chunk — total golden work stays linear in the
-  fault count, and checkpoint restore is bit-for-bit the state the
-  serial classifier carries into the chunk.
+  contiguous chunks, :func:`iter_chunk_checkpoints` runs *one* golden
+  pass yielding a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at
+  each chunk boundary as soon as it is captured (reusing cached ones
+  when the artifact cache has them), and :func:`window_chunk_task`
+  restores a boundary and classifies only its chunk — total golden work
+  stays linear in the fault count, and checkpoint restore is bit-for-bit
+  the state the serial classifier carries into the chunk.
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``,
 fork start method where available); each keeps a private serial
@@ -40,7 +40,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..config import HardwareConfig
 from ..faults import CampaignResult
@@ -282,6 +283,9 @@ class CheckpointStats:
     captured: int = 0
     hits: int = 0
     golden_pass_seconds: float = 0.0
+    #: windows the pass stepped the golden core through (cache hits
+    #: step none) — the denominator of the watchdog's per-window estimate
+    windows_stepped: int = 0
 
 
 def _checkpoint_key(cache, cfg, hw, benchmark: str, scheme,
@@ -302,15 +306,34 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                       cache=None, events=None, ctx=None,
                       stats: Optional[CheckpointStats] = None,
                       jobs: int = 1) -> List[CoreCheckpoint]:
-    """One golden pass producing a :class:`CoreCheckpoint` per chunk
-    boundary, so no chunk worker steps the golden core from window zero.
+    """Every chunk boundary's :class:`CoreCheckpoint`, in *bounds* order:
+    :func:`iter_chunk_checkpoints` run to completion."""
+    return list(iter_chunk_checkpoints(cfg, hw, benchmark, scheme, records,
+                                       bounds, cache=cache, events=events,
+                                       ctx=ctx, stats=stats, jobs=jobs))
+
+
+def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
+                           records: Sequence[FaultRecord],
+                           bounds: Sequence[Tuple[int, int]],
+                           cache=None, events=None, ctx=None,
+                           stats: Optional[CheckpointStats] = None,
+                           jobs: int = 1) -> Iterator[CoreCheckpoint]:
+    """One golden pass yielding a :class:`CoreCheckpoint` per chunk
+    boundary as soon as it exists, so no chunk worker steps the golden
+    core from window zero and the supervisor can dispatch a chunk while
+    the pass is still capturing later boundaries.
 
     Boundaries are visited in ascending window order. A boundary whose
     checkpoint the artifact cache already holds is a hit (no golden work
     at all); a miss advances a live golden core from the nearest earlier
     state — the previous boundary's live core, or a restored cached
     checkpoint — so the pass never restarts from window zero. With a
-    fully warm cache the entire pass does zero stepping.
+    fully warm cache the entire pass does zero stepping. *stats* is
+    updated before each yield; only time spent inside the pass counts
+    toward ``golden_pass_seconds``, not time the consumer spends between
+    boundaries. The live golden core is dropped before the last boundary
+    is yielded.
     """
     events = events if events is not None else NULL_LOG
     stats = stats if stats is not None else CheckpointStats()
@@ -324,13 +347,14 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
     classifier = campaign.classifier(factory)
     records = list(records)
     label = scheme or "baseline"
-    checkpoints: List[CoreCheckpoint] = []
+    metrics = getattr(ctx, "metrics_registry", NULL_METRICS)
     golden = None       # live core, advanced through records[:golden_at]
     golden_at = 0
     base: Optional[CoreCheckpoint] = None   # nearest cached boundary
     captured_before, hits_before = stats.captured, stats.hits
-    started = time.perf_counter()
-    for lo, _hi in bounds:
+    elapsed = 0.0
+    for index, (lo, _hi) in enumerate(bounds):
+        started = time.perf_counter()
         key = checkpoint = None
         if cache is not None:
             key = _checkpoint_key(cache, cfg, hw, benchmark, scheme,
@@ -362,6 +386,7 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
             with events.span("checkpoint:capture", benchmark=benchmark,
                              scheme=label, window=lo):
                 classifier.advance_golden(golden, records[golden_at:lo])
+                stats.windows_stepped += lo - golden_at
                 golden_at = lo
                 # chunk boundaries are the natural sanitizer sites: a
                 # structurally broken golden core must never be captured
@@ -390,18 +415,21 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                     manifest_path_for(
                         cache.artifact_path("checkpoint", key)),
                     manifest)
-        checkpoints.append(checkpoint)
-    elapsed = time.perf_counter() - started
-    stats.golden_pass_seconds += elapsed
-    metrics = getattr(ctx, "metrics_registry", NULL_METRICS)
-    if metrics.enabled:
-        metrics.histogram("golden_pass_seconds",
-                          SECONDS_BUCKETS).observe(elapsed)
-        metrics.counter("checkpoints_captured_total").inc(
-            stats.captured - captured_before)
-        metrics.counter("checkpoint_hits_total").inc(
-            stats.hits - hits_before)
-    return checkpoints
+        step = time.perf_counter() - started
+        elapsed += step
+        stats.golden_pass_seconds += step
+        if index == len(bounds) - 1:
+            # the pass is over: release the live golden core before the
+            # consumer runs the last chunks, and record the pass
+            golden = base = None
+            if metrics.enabled:
+                metrics.histogram("golden_pass_seconds",
+                                  SECONDS_BUCKETS).observe(elapsed)
+                metrics.counter("checkpoints_captured_total").inc(
+                    stats.captured - captured_before)
+                metrics.counter("checkpoint_hits_total").inc(
+                    stats.hits - hits_before)
+        yield checkpoint
 
 
 def window_chunk_task(args) -> List[WindowResult]:
@@ -447,6 +475,7 @@ __all__ = [
     "chunk_bounds",
     "chunk_checkpoints",
     "default_jobs",
+    "iter_chunk_checkpoints",
     "fault_free_task",
     "srt_task",
     "characterize_task",

@@ -40,9 +40,10 @@ serial dispatcher (``jobs == 1``, after a downshift to in-process, or a
 phase that plans a single chunk under a policy with
 ``inline_single_chunk``) threads one live golden core through
 the chunks; the pool dispatcher ships each chunk its boundary
-checkpoint. Both feed the same ``_complete``/``_note_failure``/
-quarantine/journal machinery, so results — and ``repro resume`` — are
-bit-for-bit identical either way.
+checkpoint, dispatching it as soon as the golden pass (run in the parent
+alongside the workers) has captured that boundary. Both feed the same
+``_complete``/``_note_failure``/quarantine/journal machinery, so results
+— and ``repro resume`` — are bit-for-bit identical either way.
 
 Chaos knobs (for the chaos-campaign CI job and tests, never set in
 production runs) are read by the *worker-side* task only:
@@ -326,7 +327,8 @@ class _Chunk:
     hi: int
     key: str
     #: boundary checkpoint at or before ``lo`` (a bisected upper half
-    #: keeps its parent's); None for chunks planned on the serial path
+    #: keeps its parent's); None on the serial path, and on the pool
+    #: path until the golden pass has captured the chunk's boundary
     checkpoint: Optional[Any]
     max_attempts: int
     attempts: int = 0
@@ -360,7 +362,18 @@ class _Phase:
     records: List[FaultRecord]
     digest: str
     plan_digest: str             # content key of the whole fault plan
-    window_estimate: float       # golden-pass seconds per window
+    #: the pool's checkpoint golden pass, updated at every boundary it
+    #: captures: the watchdog's throughput evidence
+    golden: _parallel.CheckpointStats = field(
+        default_factory=_parallel.CheckpointStats)
+
+    @property
+    def window_estimate(self) -> float:
+        """Golden-pass seconds per window the pass has stepped; 0 until
+        it has stepped any (the soft deadline then falls to its floor)."""
+        if self.golden.windows_stepped <= 0:
+            return 0.0
+        return self.golden.golden_pass_seconds / self.golden.windows_stepped
 
     def task_args(self, chunk: _Chunk) -> Tuple:
         return ((self.cfg, self.hw, self.benchmark, self.scheme,
@@ -495,7 +508,10 @@ class Supervisor:
                          cache=None, ctx=None,
                          checkpoint_stats=None) -> PhaseReport:
         """Classify *records* under supervision; positionally identical
-        to ``classifier.run(records)`` minus any quarantined windows."""
+        to ``classifier.run(records)`` minus any quarantined windows.
+        *checkpoint_stats*, if given, receives this phase's golden-pass
+        counts; pass a fresh one per phase, since the watchdog's
+        per-window estimate reads it."""
         jobs = self.jobs or 1
         records = list(records)
         label = scheme or "baseline"
@@ -504,8 +520,9 @@ class Supervisor:
                            records=records,
                            digest=config_digest(cfg, hw),
                            plan_digest=self._keyer.key("plan",
-                                                       records=records),
-                           window_estimate=0.0)
+                                                       records=records))
+        if checkpoint_stats is not None:
+            phase_ctx.golden = checkpoint_stats
         report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label)
         self.reports.append(report)
         if not records:
@@ -535,32 +552,22 @@ class Supervisor:
         self._progress(phase_ctx, report)
 
         if bounds:
+            chunks = deque(
+                _Chunk(lo, hi, self._chunk_key(phase_ctx, lo, hi), None,
+                       max_attempts=self.policy.max_retries + 1)
+                for lo, hi in bounds)
             if dispatcher == "serial":
                 # the serial dispatcher threads one live golden core
                 # through the chunks — no checkpoint golden pass needed
-                checkpoints: List[Any] = [None] * len(bounds)
-            else:
-                stats = checkpoint_stats
-                if stats is None:
-                    stats = _parallel.CheckpointStats()
-                checkpoints = _parallel.chunk_checkpoints(
-                    cfg, hw, benchmark, scheme, records, bounds,
-                    cache=cache, events=self.events, ctx=ctx,
-                    stats=stats, jobs=jobs)
-                stepped = sum(hi - lo for lo, hi in bounds)
-                phase_ctx.window_estimate = (stats.golden_pass_seconds
-                                             / max(1, stepped))
-            chunks = deque(
-                _Chunk(lo, hi, self._chunk_key(phase_ctx, lo, hi),
-                       checkpoint,
-                       max_attempts=self.policy.max_retries + 1)
-                for (lo, hi), checkpoint in zip(bounds, checkpoints))
-            if dispatcher == "serial":
                 self._run_serial(phase_ctx, chunks, done, quarantined,
                                  report, ctx=ctx)
             else:
-                self._run_pool(phase_ctx, chunks, done, quarantined,
-                               report, jobs=jobs, ctx=ctx)
+                boundaries = _parallel.iter_chunk_checkpoints(
+                    cfg, hw, benchmark, scheme, records, bounds,
+                    cache=cache, events=self.events, ctx=ctx,
+                    stats=phase_ctx.golden, jobs=jobs)
+                self._run_pool(phase_ctx, chunks, boundaries, done,
+                               quarantined, report, jobs=jobs, ctx=ctx)
 
         if report.status == "aborted":
             if self.journal is not None:
@@ -806,9 +813,19 @@ class Supervisor:
 
     # -- dispatch: pool ------------------------------------------------
     def _run_pool(self, phase_ctx: _Phase, chunks: "deque[_Chunk]",
-                  done, quarantined, report: PhaseReport,
-                  jobs: int, ctx=None) -> None:
-        """Pool execution with crash attribution.
+                  boundaries: Iterator[Any], done, quarantined,
+                  report: PhaseReport, jobs: int, ctx=None) -> None:
+        """Pool execution overlapped with the checkpoint golden pass, with
+        crash attribution.
+
+        *chunks* arrive without checkpoints; *boundaries* (the pass)
+        yields their boundary checkpoints in window order. Between
+        dispatch and poll steps the parent pulls one more boundary, and a
+        chunk is dispatchable as soon as its boundary exists, so the
+        first chunks run while the pass still steps toward later
+        boundaries. The parent is busy stepping the pass meanwhile, so at
+        most ``jobs - 1`` chunks are in flight until it ends; ``jobs``
+        after that.
 
         A worker SIGKILL breaks the whole ``ProcessPoolExecutor``: every
         in-flight future fails with ``BrokenProcessPool`` regardless of
@@ -822,24 +839,36 @@ class Supervisor:
         only when the pool itself cannot be (re)built, never because a
         chunk crashed it.
         """
-        pending = deque(sorted(chunks, key=lambda c: c.lo))
+        unready = deque(sorted(chunks, key=lambda c: c.lo))  # no boundary
+        pending: "deque[_Chunk]" = deque()
         probe: "deque[_Chunk]" = deque()    # suspects, run one at a time
         running: Dict[Any, Tuple[_Chunk, float]] = {}
         pool: Optional[ProcessPoolExecutor] = None
         build_failures = 0
         drain_deadline: Optional[float] = None
+
+        def run_in_process() -> None:
+            """Hand every unfinished chunk to the serial dispatcher, which
+            threads its own golden core (the pass is abandoned)."""
+            boundaries.close()
+            probe.extend(pending)
+            probe.extend(unready)
+            self._run_serial(phase_ctx, probe, done, quarantined, report,
+                             ctx=ctx)
+
         spool = (self.events.worker_spool() if self.events.enabled
                  else None)
         if spool is not None:
             os.environ[WORKER_DIR_ENV] = spool
         try:
-            while pending or probe or running:
+            while unready or pending or probe or running:
                 now = time.monotonic()
                 if self.drain:
                     if drain_deadline is None:
                         drain_deadline = now + self.policy.drain_grace
                         self._emit("drain", phase_ctx,
-                                   pending=len(pending) + len(probe),
+                                   pending=(len(unready) + len(pending)
+                                            + len(probe)),
                                    running=len(running))
                     if not running or now > drain_deadline:
                         report.status = "aborted"
@@ -854,16 +883,18 @@ class Supervisor:
                             jobs = self._downshift(phase_ctx, jobs, report,
                                                    "pool_unavailable")
                         if self._force_serial:
-                            probe.extend(pending)
-                            self._run_serial(phase_ctx, probe, done,
-                                             quarantined, report, ctx=ctx)
+                            run_in_process()
                             return
                         time.sleep(0.05)
                         continue
                 # submit: suspects strictly one at a time (attribution),
-                # otherwise eligible chunks up to the worker count
+                # otherwise eligible chunks up to the worker count, less
+                # the one CPU the parent takes while the pass runs
                 submit_from = probe if probe else pending
-                limit = 1 if probe else jobs
+                if probe:
+                    limit = 1
+                else:
+                    limit = max(1, jobs - 1) if unready else jobs
                 while (pool is not None and submit_from and not self.drain
                        and len(running) < limit and not (probe and running)):
                     chunk = next((c for c in submit_from
@@ -893,10 +924,7 @@ class Supervisor:
                             jobs = self._downshift(phase_ctx, jobs, report,
                                                    "pool_unavailable")
                             if self._force_serial:
-                                probe.extend(pending)
-                                self._run_serial(phase_ctx, probe, done,
-                                                 quarantined, report,
-                                                 ctx=ctx)
+                                run_in_process()
                                 return
                         break
                     deadline = self._deadline(phase_ctx, chunk)
@@ -904,7 +932,16 @@ class Supervisor:
                         self.metrics.counter(
                             "supervisor_watchdog_armed_total").inc()
                     running[future] = (chunk, deadline)
-                if not running:
+                if unready and not self.drain:
+                    # the workers run while the parent steps the pass to
+                    # the next boundary; then poll without blocking
+                    chunk = unready.popleft()
+                    chunk.checkpoint = next(boundaries)
+                    pending.append(chunk)
+                    poll = 0.0
+                elif running:
+                    poll = 0.25
+                else:
                     waiting = list(probe) + list(pending)
                     if waiting:
                         wake = min(c.eligible_at for c in waiting)
@@ -914,11 +951,11 @@ class Supervisor:
                     break
                 self._maybe_heartbeat(
                     phase_ctx, report, running=len(running),
-                    pending=len(pending) + len(probe),
+                    pending=len(unready) + len(pending) + len(probe),
                     workers=[proc.pid for proc in
                              (getattr(pool, "_processes", None)
                               or {}).values()] if pool is not None else ())
-                completed, _ = wait(list(running), timeout=0.25,
+                completed, _ = wait(list(running), timeout=poll,
                                     return_when=FIRST_COMPLETED)
                 crashed: List[_Chunk] = []
                 for future in completed:
@@ -1000,6 +1037,7 @@ class Supervisor:
                     self._emit("pool_rebuild", phase_ctx,
                                reason="crash" if crashed else "timeout")
         finally:
+            boundaries.close()      # drain or error: release the pass
             if pool is not None:
                 self._teardown_pool(pool)
             if spool is not None:

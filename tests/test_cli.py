@@ -104,6 +104,53 @@ def test_campaign_rejects_batch_lanes_below_one(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["campaign", "mcf", "--jobs", "0"], "must be >= 1"),
+    (["campaign", "mcf", "--jobs", "-3"], "must be >= 1"),
+    (["figure", "fig7", "--jobs", "0"], "must be >= 1"),
+    (["resume", "run", "--jobs", "0"], "must be >= 1"),
+    (["serve", "sd", "--jobs", "0"], "must be >= 1"),
+    (["campaign", "mcf", "--chunk-windows", "0"], "must be >= 1"),
+    (["campaign", "mcf", "--max-retries", "-1"], "must be >= 0"),
+    (["campaign", "mcf", "--chunk-timeout", "-5"], "must be > 0"),
+    (["campaign", "mcf", "--chunk-timeout", "0"], "must be > 0"),
+    (["campaign", "mcf", "--chunk-timeout", "nan"], "must be > 0"),
+    (["campaign", "mcf", "--jobs", "two"], "is not an integer"),
+])
+def test_parser_rejects_bad_execution_values(capsys, argv, message):
+    """Regression: these used to be clamped silently (exit 0) although
+    the spec compiler rejects the same values."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parser_accepts_execution_bounds():
+    args = build_parser().parse_args(
+        ["campaign", "mcf", "--jobs", "1", "--chunk-windows", "1",
+         "--max-retries", "0", "--chunk-timeout", "0.5"])
+    assert (args.jobs, args.chunk_windows, args.max_retries,
+            args.chunk_timeout) == (1, 1, 0, 0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("jobs", 0), ("chunk_windows", 0), ("max_retries", -1),
+    ("chunk_timeout", -5), ("batch_lanes", 0)])
+def test_resume_rejects_bad_saved_execution_values(tmp_path, capsys,
+                                                   field, value):
+    saved = {"command": "campaign", "name": "mcf", "scheme": "faulthound",
+             "faults": 2, "seed": 3, "jobs": 1, "batch_lanes": 1,
+             "no_cache": True, "max_retries": 3, "chunk_timeout": None,
+             "chunk_windows": 8, field: value}
+    (tmp_path / "campaign.json").write_text(json.dumps(saved))
+    code, out, err = run_cli(capsys, "resume", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert f"{field} must be" in err
+    assert not (tmp_path / "journal.jsonl").exists()
+
+
 def test_compile_command_writes_run_layer(tmp_path, capsys):
     spec = tmp_path / "c.src.json"
     spec.write_text(json.dumps({

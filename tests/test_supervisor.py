@@ -28,9 +28,10 @@ from repro.faults import Campaign
 from repro.harness import (ExperimentConfig, ExperimentContext, Supervisor,
                            SupervisorPolicy, read_poisoned,
                            summarize_run_dir)
+from repro.harness.parallel import CheckpointStats
 from repro.harness.supervisor import (CampaignAborted, CampaignJournal,
                                       EXIT_ABORTED, EXIT_QUARANTINE,
-                                      _chaos_indices)
+                                      _chaos_indices, _Chunk, _Phase)
 
 # geometry matching `repro campaign mcf --faults 10`: produces a small
 # but non-empty SDC set, so the coverage phase is exercised for real
@@ -449,6 +450,198 @@ class TestDownshiftLadder:
 
 
 # ----------------------------------------------------------------------
+# the checkpoint golden pass overlaps chunk dispatch
+# ----------------------------------------------------------------------
+def _slow_pass(monkeypatch, delay, on_boundary=None):
+    """Stretch the pool's checkpoint golden pass by *delay* seconds per
+    boundary after the first, so dispatch during the pass is observable
+    regardless of host speed. Returns the live pass state: ``left``
+    boundaries not yet handed out, ``closed`` once the pass is released.
+    """
+    from repro.harness import parallel
+    real = parallel.iter_chunk_checkpoints
+    state = {"left": 0, "closed": False}
+
+    def slow(*args, **kwargs):
+        state["left"] = len(args[5])       # the phase's chunk bounds
+        state["closed"] = False
+        try:
+            for index, checkpoint in enumerate(real(*args, **kwargs)):
+                if index:
+                    time.sleep(delay)
+                state["left"] -= 1
+                if on_boundary is not None:
+                    on_boundary(index)
+                yield checkpoint
+        finally:
+            state["closed"] = True
+
+    monkeypatch.setattr(parallel, "iter_chunk_checkpoints", slow)
+    return state
+
+
+def _phase(seconds=0.0, stepped=0):
+    return _Phase(cfg=_TINY, hw=None, benchmark="mcf", scheme=None,
+                  label="baseline", phase="characterize", records=[],
+                  digest="d", plan_digest="p",
+                  golden=CheckpointStats(golden_pass_seconds=seconds,
+                                         windows_stepped=stepped))
+
+
+class TestWindowEstimate:
+    def test_no_estimate_before_the_pass_steps(self):
+        """Capturing window 0 costs core construction but steps no
+        window: that must not read as a per-window rate."""
+        assert _phase(seconds=0.4).window_estimate == 0.0
+
+    def test_estimate_divides_by_stepped_windows(self):
+        # a 3-chunk phase of 24 windows steps 16 before its last boundary
+        assert (_phase(seconds=1.6, stepped=16).window_estimate
+                == pytest.approx(0.1))
+
+    def test_deadline_floor_without_an_estimate(self):
+        sup = Supervisor(SupervisorPolicy(min_soft_timeout=30.0,
+                                          soft_timeout_factor=32.0))
+        chunk = _Chunk(0, 8, "k", None, max_attempts=1, attempts=1)
+        for phase, allowed in ((_phase(), 30.0),
+                               (_phase(seconds=1.6, stepped=16), 30.0),
+                               (_phase(seconds=16.0, stepped=16), 256.0)):
+            before = time.monotonic()
+            deadline = sup._deadline(phase, chunk)
+            assert before + allowed <= deadline \
+                <= time.monotonic() + allowed
+
+    def test_pool_phase_estimates_from_stepped_windows(
+            self, serial_reference, monkeypatch):
+        """The watchdog's estimate counts the windows the pass stepped
+        (up to the last boundary), updated boundary by boundary; chunk 0
+        goes out before any estimate exists."""
+        s_char, _ = serial_reference
+        seen = []
+        real_deadline = Supervisor._deadline
+
+        def spy(self, phase_ctx, chunk):
+            seen.append((chunk.lo, phase_ctx.golden.windows_stepped,
+                         phase_ctx.window_estimate))
+            return real_deadline(self, phase_ctx, chunk)
+
+        monkeypatch.setattr(Supervisor, "_deadline", spy)
+        sup = Supervisor(SupervisorPolicy(chunk_windows=2))
+        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup)
+        _, characterization = ctx.campaign("mcf")
+        assert characterization.characterization == s_char.characterization
+        assert seen[0] == (0, 0, 0.0)
+        # bounds (0,2) (2,4) (4,6) (6,8) (8,10): the pass stepped 8
+        assert sorted(lo for lo, _, _ in seen) == [0, 2, 4, 6, 8]
+        assert seen[-1][1] == 8
+        stepped = [windows for _, windows, _ in seen]
+        assert stepped == sorted(stepped)
+        assert all(estimate > 0 for _, windows, estimate in seen
+                   if windows)
+
+
+class TestOverlappedPass:
+    def test_first_chunk_runs_before_the_pass_ends(
+            self, serial_reference, monkeypatch, tmp_path):
+        """At jobs=2 the first chunk's worker starts before the last
+        boundary is captured, and both phases still equal the unchunked
+        Campaign reference."""
+        from repro.obs import EventLog, read_events
+        s_char, s_cov = serial_reference
+        _slow_pass(monkeypatch, 0.5)
+        events_path = tmp_path / "events.jsonl"
+        events = EventLog(events_path)
+        sup = Supervisor(SupervisorPolicy(chunk_windows=3))
+        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
+                                events=events)
+        _, characterization = ctx.campaign("mcf")
+        coverage = ctx.coverage("mcf", "faulthound")
+        events.close()
+        assert characterization.characterization == s_char.characterization
+        assert coverage.coverage_results == s_cov.coverage_results
+        log = read_events(events_path)
+        captures = [e["ts"] for e in log if e.get("type") == "checkpoint"
+                    and e.get("action") == "capture"
+                    and e.get("scheme") == "baseline"]
+        first = [e["ts"] for e in log if e.get("type") == "span_start"
+                 and e.get("name") == "worker:window_chunk"
+                 and e["attrs"].get("scheme") == "baseline"
+                 and e["attrs"].get("lo") == 0]
+        assert len(captures) >= 3
+        assert len(first) == 1
+        assert first[0] < captures[-1]
+
+    def test_pass_keeps_a_cpu_for_the_parent(self, serial_reference,
+                                             monkeypatch):
+        """While the pass runs the parent is the jobs-th CPU: never more
+        than jobs - 1 chunks in flight until it has ended."""
+        from concurrent.futures import ProcessPoolExecutor
+        from repro.harness import parallel
+        s_char, _ = serial_reference
+        state = _slow_pass(monkeypatch, 0.2)
+        submits = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.futures = []
+
+            def submit(self, fn, *args, **kwargs):
+                in_flight = sum(not f.done() for f in self.futures)
+                submits.append((state["left"], in_flight))
+                future = super().submit(fn, *args, **kwargs)
+                self.futures.append(future)
+                return future
+
+        monkeypatch.setattr(
+            Supervisor, "_build_pool",
+            lambda self, phase_ctx, workers, report: CountingPool(
+                max_workers=workers, mp_context=parallel._mp_context()))
+        jobs = 3
+        sup = Supervisor(SupervisorPolicy(chunk_windows=2))
+        ctx = ExperimentContext(_TINY, jobs=jobs, supervisor=sup)
+        _, characterization = ctx.campaign("mcf")
+        assert characterization.characterization == s_char.characterization
+        during = [in_flight for left, in_flight in submits if left > 0]
+        assert during, "no chunk was dispatched during the pass"
+        assert all(in_flight + 1 <= jobs - 1 for in_flight in during)
+        assert len(submits) == 5 and state["left"] == 0
+
+    def test_drain_during_the_pass_aborts_then_resumes(
+            self, serial_reference, monkeypatch, tmp_path):
+        """A drain requested mid-pass stops the pass, lets the chunk in
+        flight land, aborts with the resume hint — and the resume (a gap
+        starting past window 0) converges to the reference."""
+        s_char, _ = serial_reference
+        run_dir = tmp_path / "run"
+        policy = SupervisorPolicy(chunk_windows=2)
+        first = Supervisor(policy, run_dir=run_dir)
+        state = _slow_pass(
+            monkeypatch, 0.0,
+            on_boundary=lambda index: index == 1 and first.request_drain())
+        ctx = ExperimentContext(_TINY, jobs=2, supervisor=first)
+        with pytest.raises(CampaignAborted) as excinfo:
+            ctx.campaign("mcf")
+        first.close()
+        assert "repro resume" in str(excinfo.value)
+        assert first.status == "aborted"
+        assert state["left"] > 0 and state["closed"]
+        records = CampaignJournal.read(run_dir)
+        assert records[-1]["type"] == "drain"
+        assert "phase_done" not in [r["type"] for r in records]
+        done = [(r["lo"], r["hi"]) for r in records
+                if r["type"] == "chunk_done"]
+        assert (0, 2) in done and len(done) < 5
+
+        second = Supervisor(policy, run_dir=run_dir)
+        ctx2 = ExperimentContext(_TINY, jobs=2, supervisor=second)
+        _, characterization = ctx2.campaign("mcf")
+        second.close()
+        assert characterization.characterization == s_char.characterization
+        assert second.reports[0].chunks_resumed == len(done)
+
+
+# ----------------------------------------------------------------------
 # drain / abort
 # ----------------------------------------------------------------------
 class TestDrain:
@@ -656,3 +849,70 @@ def test_sigkill_then_resume_cache_warm(tmp_path):
         return
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout == reference.stdout
+
+
+# the CLI with its checkpoint golden pass stretched (argv[1] seconds per
+# boundary after the first); writes argv[2] once the pass has handed out
+# its last boundary, so a test can tell whether a kill landed mid-pass
+_SLOW_PASS_CLI = """
+import pathlib, sys, time
+from repro.harness import parallel
+real = parallel.iter_chunk_checkpoints
+def slow(*args, **kwargs):
+    bounds = args[5]
+    for index, checkpoint in enumerate(real(*args, **kwargs)):
+        if index:
+            time.sleep(float(sys.argv[1]))
+        if index == len(bounds) - 1:
+            pathlib.Path(sys.argv[2]).touch()
+        yield checkpoint
+parallel.iter_chunk_checkpoints = slow
+from repro.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(300)
+def test_sigkill_during_the_pass_then_resume(tmp_path):
+    """A SIGKILL that lands while the golden pass is still capturing
+    boundaries (a chunk already journalled) resumes to the uninterrupted
+    run's stdout, bit for bit."""
+    env = _cli_env()
+    reference = subprocess.run(_campaign_argv(tmp_path / "ref", 1),
+                               env=env, capture_output=True, text=True,
+                               timeout=240)
+    assert reference.returncode == 0, reference.stderr
+
+    int_dir = tmp_path / "interrupted"
+    marker = tmp_path / "pass-ended"
+    argv = _campaign_argv(int_dir, 4)[3:]       # drop `python -m repro.cli`
+    victim = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_PASS_CLI, "3.0", str(marker), *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    journal = int_dir / "journal.jsonl"
+    deadline = time.monotonic() + 120
+    try:
+        while time.monotonic() < deadline:
+            if victim.poll() is not None:
+                break
+            if journal.exists() and "chunk_done" in journal.read_text():
+                break
+            time.sleep(0.05)
+        assert victim.poll() is None, "campaign finished before the kill"
+    finally:
+        try:
+            os.killpg(victim.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        victim.wait(timeout=30)
+    assert not marker.exists(), "the kill landed after the pass"
+
+    resumed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "resume", str(int_dir)],
+        env=env, capture_output=True, text=True, timeout=240)
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == reference.stdout
+    records = list(CampaignJournal.read(int_dir))
+    assert any(r["type"] == "resume" for r in records)

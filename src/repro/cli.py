@@ -42,19 +42,7 @@ Subcommands
 ``repro compile SPEC.src.json [-o OUT.run.json]``
     Compile a declarative campaign spec (sweep axes over defaults)
     into its explicit, content-addressed ``.run.json`` task list
-    (see docs/serving.md).
-``repro serve DIR [--jobs N] [--max-active K]``
-    Long-lived campaign job server over DIR: adopts submissions from
-    ``DIR/queue/``, runs them by priority as one-shot-equivalent
-    ``repro campaign`` subprocesses with job-scoped run dirs, and
-    answers a unix-socket control plane (status/cancel/resume).
-``repro submit SPEC --serve-dir DIR [--priority P] [--wait]``
-    Queue a campaign spec (``.src.json`` compiled on the fly) for the
-    server; with ``--wait``, block and exit with the job's one-shot-
-    parity exit code.
-``repro jobs {list,status,cancel,resume} DIR [JOB]``
-    Inspect and steer submitted jobs, live via the server socket or
-    offline from the serve directory.
+    (see docs/specs.md).
 
 Observability: ``--emit-events PATH`` streams a structured JSONL event
 log (spans, cache traffic, fault audit trail) from any campaign/figure
@@ -239,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("name", choices=sorted(PROFILES))
     campaign.add_argument("--scheme", default="faulthound",
                           choices=sorted(SCHEMES))
-    campaign.add_argument("--faults", type=int, default=60)
+    campaign.add_argument("--faults", type=_positive_int, default=60)
     campaign.add_argument("--seed", type=int, default=3)
     campaign.add_argument("--batch-lanes", type=_positive_int, default=1,
                           dest="batch_lanes", metavar="K",
@@ -359,67 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="PATH",
                              help="where to write the run spec "
                                   "(default: sibling .run.json)")
-
-    serve = sub.add_parser(
-        "serve", help="long-lived campaign job server: adopts specs "
-                      "from DIR/queue/, runs them by priority with "
-                      "one-shot CLI parity")
-    serve.add_argument("serve_dir", metavar="DIR",
-                       help="serve directory (queue, job state, logs)")
-    serve.add_argument("--jobs", type=_positive_int, default=None,
-                       help="total worker budget shared across active "
-                            "jobs (default: each task decides)")
-    serve.add_argument("--max-active", type=_positive_int, default=1,
-                       help="jobs running concurrently (default 1)")
-    serve.add_argument("--poll-interval", type=float, default=0.25,
-                       help="queue/subprocess poll cadence in seconds")
-    serve.add_argument("--max-jobs", type=int, default=None,
-                       help="exit after N jobs reach a terminal state "
-                            "(CI/test knob; default: serve forever)")
-    serve.add_argument("--idle-exit", type=float, default=None,
-                       metavar="SECONDS",
-                       help="exit after the queue has been empty this "
-                            "long (CI/test knob)")
-    serve.add_argument("--no-events", action="store_true",
-                       help="skip the server-events.jsonl lifecycle log")
-
-    submit = sub.add_parser(
-        "submit", help="queue a campaign spec (.src.json is compiled "
-                       "on the fly) for a `repro serve` server")
-    submit.add_argument("spec", help=".src.json or .run.json spec path")
-    submit.add_argument("--serve-dir", required=True, metavar="DIR",
-                        help="the server's serve directory")
-    submit.add_argument("--priority", type=int, default=None,
-                        help="override the spec's priority "
-                             "(higher runs first)")
-    submit.add_argument("--name", default=None,
-                        help="override the spec's job name")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes and exit "
-                             "with its one-shot-parity exit code")
-    submit.add_argument("--timeout", type=float, default=None,
-                        help="give up --wait after this many seconds")
-
-    jobs_cmd = sub.add_parser(
-        "jobs", help="inspect and steer jobs submitted to a server")
-    jobs_sub = jobs_cmd.add_subparsers(dest="jobs_command", required=True)
-    jobs_list = jobs_sub.add_parser("list", help="every known job")
-    jobs_list.add_argument("serve_dir", metavar="DIR")
-    jobs_list.add_argument("--json", action="store_true", dest="as_json",
-                           help="machine-readable summaries")
-    jobs_status = jobs_sub.add_parser(
-        "status", help="one job's document, plus live progress when "
-                       "the server is up and the job is running")
-    jobs_cancel = jobs_sub.add_parser(
-        "cancel", help="stop a running job (graceful supervisor drain) "
-                       "or drop a queued one")
-    jobs_resume = jobs_sub.add_parser(
-        "resume", help="requeue a failed/cancelled/interrupted job; "
-                       "settled tasks are kept, the rest re-run as "
-                       "journal resumes")
-    for sub_cmd in (jobs_status, jobs_cancel, jobs_resume):
-        sub_cmd.add_argument("serve_dir", metavar="DIR")
-        sub_cmd.add_argument("job_id", metavar="JOB")
 
     validate = sub.add_parser(
         "validate", help="measure a workload profile's achieved character")
@@ -608,8 +535,8 @@ def _print_quarantine(supervisor) -> None:
 
 
 #: campaign.json fields ``repro resume`` re-validates before running
-_RESUME_CHECKED = ("batch_lanes", "jobs", "max_retries", "chunk_timeout",
-                   "chunk_windows")
+_RESUME_CHECKED = ("faults", "seed", "batch_lanes", "jobs", "max_retries",
+                   "chunk_timeout", "chunk_windows")
 
 
 def _cmd_resume(args) -> int:
@@ -624,8 +551,8 @@ def _cmd_resume(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: unreadable {manifest}: {exc}", file=sys.stderr)
         return 1
-    # the saved execution arguments obey the bounds the parser and the
-    # spec compiler enforce: a bad value is an error, never a clamp
+    # the saved arguments obey the bounds the parser and the spec
+    # compiler enforce: a bad value is an error, never a clamp
     from .harness.spec import validate_task
     task = {field: saved[field] for field in _RESUME_CHECKED
             if field in saved}
@@ -866,7 +793,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    """Pure spec compilation: .src.json -> .run.json (docs/serving.md)."""
+    """Pure spec compilation: .src.json -> .run.json (docs/specs.md)."""
     from .harness.spec import compile_file
     out = compile_file(args.spec, args.output)
     run = json.loads(out.read_text(encoding="utf-8"))
@@ -875,75 +802,6 @@ def _cmd_compile(args) -> int:
     print(f"compiled {args.spec} -> {out} "
           f"({len(run['tasks'])} task(s){extra})")
     return 0
-
-
-def _cmd_serve(args) -> int:
-    from .harness.server import JobServer
-    server = JobServer(args.serve_dir, jobs=args.jobs,
-                       max_active=args.max_active,
-                       poll_interval=args.poll_interval,
-                       max_jobs=args.max_jobs, idle_exit=args.idle_exit,
-                       log_events=not args.no_events)
-    return server.run()
-
-
-def _job_exit_code(doc) -> int:
-    """One-shot CLI exit-code parity for a finished job: complete -> 0,
-    quarantined windows -> 3, a failed task -> its own exit code,
-    cancelled/interrupted -> the supervisor's aborted code."""
-    state = doc.get("state")
-    if state == "complete":
-        return 0
-    if state == "complete-with-quarantine":
-        return 3
-    if state == "failed":
-        for task in doc.get("tasks", []):
-            code = task.get("exit_code")
-            if code not in (None, 0, 3):
-                return int(code)
-        return 1
-    return 4
-
-
-def _cmd_submit(args) -> int:
-    from .harness.client import ServeClient
-    client = ServeClient(args.serve_dir)
-    job_id = client.submit(args.spec, priority=args.priority,
-                           name=args.name)
-    print(job_id)
-    if not client.server_alive():
-        print("note: no server is running — the job is queued and runs "
-              "on the next `repro serve`", file=sys.stderr)
-    if not args.wait:
-        return 0
-    doc = client.wait(job_id, timeout=args.timeout)
-    print(f"job {job_id}: {doc.get('state')}", file=sys.stderr)
-    return _job_exit_code(doc)
-
-
-def _cmd_jobs(args) -> int:
-    from .harness.client import ServeClient
-    client = ServeClient(args.serve_dir)
-    if args.jobs_command == "list":
-        jobs = client.list()
-        if args.as_json:
-            print(json.dumps(jobs, indent=2, sort_keys=True))
-        else:
-            print(f"{'job':44s} {'state':26s} {'prio':>4s} "
-                  f"{'tasks':>7s}")
-            for job in jobs:
-                tasks = f"{job['settled']}/{job['tasks']}"
-                print(f"{str(job['id']):44s} {job['state']:26s} "
-                      f"{job['priority']:>4d} {tasks:>7s}")
-        return 0
-    if args.jobs_command == "status":
-        response = client.status(args.job_id)
-    elif args.jobs_command == "cancel":
-        response = client.cancel(args.job_id)
-    else:
-        response = client.resume(args.job_id)
-    print(json.dumps(response, indent=2, sort_keys=True))
-    return 0 if response.get("ok") else 1
 
 
 def _cmd_validate(args) -> int:
@@ -963,13 +821,10 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "compile": _cmd_compile,
     "figure": _cmd_figure,
-    "jobs": _cmd_jobs,
     "metrics": _cmd_metrics,
     "report": _cmd_report,
     "resume": _cmd_resume,
-    "serve": _cmd_serve,
     "status": _cmd_status,
-    "submit": _cmd_submit,
     "tail": _cmd_tail,
     "top": _cmd_top,
     "validate": _cmd_validate,

@@ -18,7 +18,6 @@ Source spec fields (all optional unless noted)::
       "version": 1,                       // required
       "name": "nightly",                  // defaults to the file stem
       "comment": "...",                   // free-form, carried through
-      "priority": 0,                      // job priority (higher first)
       "defaults": {"faults": 24, ...},    // per-task knob overrides
       "sweep": {                          // axes: field -> value list
         "benchmark": ["mcf", "bzip2"],
@@ -34,9 +33,10 @@ key. A spec with neither ``sweep`` nor ``tasks`` compiles to the single
 task described by ``defaults``.
 
 Every task knob maps 1:1 onto a ``repro campaign`` CLI flag
-(:func:`task_argv`), so a compiled task executed by the job server is
-*the same invocation* an operator would have typed — exit codes,
-journals and stdout are identical to the one-shot CLI.
+(:func:`task_argv`), so running a sweep is a plain loop over the run
+spec: each task's argv goes to ``repro campaign`` — *the same
+invocation* an operator would have typed, with the same exit code,
+journal and stdout (docs/specs.md).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ TASK_DEFAULTS: Dict[str, Any] = {
     "chunk_windows": 8,
 }
 
-_TOP_LEVEL_FIELDS = ("kind", "version", "name", "comment", "priority",
-                     "defaults", "sweep", "tasks")
+_TOP_LEVEL_FIELDS = ("kind", "version", "name", "comment", "defaults",
+                     "sweep", "tasks")
 
 
 class SpecError(ReproError):
@@ -196,9 +196,6 @@ def compile_spec(src: Dict[str, Any],
     for field in src:
         if field not in _TOP_LEVEL_FIELDS:
             raise SpecError(f"unknown top-level field {field!r}")
-    priority = src.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise SpecError(f"priority must be an integer (got {priority!r})")
 
     defaults = dict(TASK_DEFAULTS)
     overrides = src.get("defaults", {})
@@ -245,7 +242,6 @@ def compile_spec(src: Dict[str, Any],
         "version": SPEC_VERSION,
         "name": src.get("name") or name or "campaign",
         "comment": src.get("comment", ""),
-        "priority": priority,
         "source_digest": spec_digest(src),
         "deduped": len(merged) - len(tasks),
         "tasks": tasks,
@@ -300,8 +296,7 @@ def load_run(path: str | os.PathLike) -> Dict[str, Any]:
     """Load a run document, compiling a source spec on the fly.
 
     Accepts either layer: a ``.run.json`` is validated as-is, a
-    ``.src.json`` is compiled first — so every consumer (``repro
-    submit``, the server queue) takes both.
+    ``.src.json`` is compiled first — so a sweep loop takes both.
     """
     path = pathlib.Path(path)
     document = load_spec(path)
@@ -348,16 +343,14 @@ def compile_file(src_path: str | os.PathLike,
 # CLI parity
 # ----------------------------------------------------------------------
 def task_argv(task: Dict[str, Any],
-              run_dir: Optional[str | os.PathLike] = None,
-              jobs: Optional[int] = None) -> List[str]:
+              run_dir: Optional[str | os.PathLike] = None) -> List[str]:
     """The exact ``repro`` argv a compiled task stands for.
 
     Every knob is spelled out explicitly (the run layer never relies on
-    CLI defaults), so the server-executed subprocess and a hand-typed
+    CLI defaults), so a sweep loop's subprocess and a hand-typed
     one-shot ``repro campaign`` are the same invocation — same stdout,
-    same journal, same exit code. *jobs* overrides the task's worker
-    count (the server's multiplexing share); *run_dir* adds the
-    crash-safe journal.
+    same journal, same exit code. *run_dir* adds the crash-safe
+    journal (``repro resume`` finishes a task killed mid-run).
     """
     argv = ["campaign", str(task["benchmark"]),
             "--scheme", str(task["scheme"]),
@@ -366,9 +359,8 @@ def task_argv(task: Dict[str, Any],
             "--batch-lanes", str(task.get("batch_lanes", 1)),
             "--max-retries", str(task.get("max_retries", 3)),
             "--chunk-windows", str(task.get("chunk_windows", 8))]
-    effective_jobs = jobs if jobs is not None else task.get("jobs")
-    if effective_jobs is not None:
-        argv += ["--jobs", str(effective_jobs)]
+    if task.get("jobs") is not None:
+        argv += ["--jobs", str(task["jobs"])]
     if task.get("no_cache"):
         argv.append("--no-cache")
     if task.get("chunk_timeout") is not None:

@@ -77,7 +77,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..faults.classifier import WindowResult
 from ..faults.model import FaultRecord
-from ..obs.events import NULL_LOG, WORKER_DIR_ENV
+from ..obs.events import NULL_LOG, WORKER_DIR_ENV, read_events
 from ..obs.manifest import config_digest
 from ..obs.metrics import NULL_METRICS
 from . import parallel as _parallel
@@ -261,8 +261,8 @@ class CampaignJournal:
     ``chunk_done``, ``quarantine``, ``phase_done``, ``resume``,
     ``drain``). Appends are flushed *and fsync'd* so a SIGKILL never
     loses an acknowledged chunk; a truncated trailing line (killed
-    mid-append) becomes a synthesized ``truncated_tail`` note — exactly
-    the :func:`repro.obs.events.read_events` contract — while corruption
+    mid-append) becomes a synthesized ``truncated_tail`` note — it is
+    read with :func:`repro.obs.events.read_events` — while corruption
     anywhere *before* the tail is a hard error (an fsync'd append-only
     journal cannot legitimately contain one).
     """
@@ -286,36 +286,12 @@ class CampaignJournal:
 
     @staticmethod
     def read(run_dir: str | os.PathLike) -> List[Dict[str, Any]]:
-        """Parsed journal records; a torn final line (SIGKILL
-        mid-append) is reported as a ``truncated_tail`` note instead of
-        failing the resume. Resume replay ignores the note (it only
-        folds ``chunk_done``/``quarantine``); ``repro report`` surfaces
-        it so the interruption stays visible."""
+        """Parsed journal records (``[]`` before the first append).
+        Resume replay ignores a ``truncated_tail`` note (it only folds
+        ``chunk_done``/``quarantine``); ``repro report`` surfaces it so
+        the interruption stays visible."""
         path = pathlib.Path(run_dir) / "journal.jsonl"
-        records: List[Dict[str, Any]] = []
-        if not path.exists():
-            return records
-        with open(path, encoding="utf-8", newline="") as handle:
-            content = handle.read()
-        lines = content.split("\n")
-        tail = lines.pop()
-        for number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{number}: not JSON: {exc}") from None
-        if tail.strip():
-            try:
-                records.append(json.loads(tail))
-            except json.JSONDecodeError:
-                records.append({"type": "truncated_tail",
-                                "line": len(lines) + 1,
-                                "bytes": len(tail.encode("utf-8"))})
-        return records
+        return read_events(path) if path.exists() else []
 
 
 # ----------------------------------------------------------------------

@@ -57,8 +57,6 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     "heartbeat": {"phase": (str,), "running": (int,), "pending": (int,)},
     # synthesized by read_events/the follower for a torn final JSONL line
     "truncated_tail": {"line": (int,), "bytes": (int,)},
-    # the campaign job server's lifecycle trail (`repro serve`)
-    "job": {"action": (str,), "job": (str,)},
 }
 
 #: Optional fields that, when present, must have these types
@@ -91,9 +89,6 @@ OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
     "heartbeat": {"benchmark": (str,), "scheme": (str,),
                   "workers": (list,), "windows_done": (int,),
                   "windows_total": (int,)},
-    "job": {"name": (str,), "priority": (int,), "task": (str,),
-            "index": (int,), "state": (str,), "exit_code": (int,),
-            "reason": (str,)},
 }
 
 #: The recovery labels a ``fault_audit`` event may carry.
@@ -107,11 +102,6 @@ CHECKPOINT_ACTIONS = ("capture", "hit")
 SUPERVISOR_ACTIONS = ("plan", "chunk_done", "retry", "timeout",
                       "pool_rebuild", "bisect", "quarantine", "drain",
                       "phase_done")
-
-#: The lifecycle actions a ``job`` event may carry (`repro serve`).
-JOB_ACTIONS = ("submitted", "adopted", "started", "task_start",
-               "task_done", "done", "cancelled", "requeued",
-               "interrupted")
 
 #: What the cache did about a corrupt entry.
 CACHE_CORRUPT_ACTIONS = ("dropped", "quarantined")
@@ -163,9 +153,6 @@ def validate_event(event: Any, where: str = "event") -> List[str]:
             and event.get("action") not in SUPERVISOR_ACTIONS):
         errors.append(f"{where}: supervisor.action "
                       f"{event.get('action')!r} not in {SUPERVISOR_ACTIONS}")
-    if event_type == "job" and event.get("action") not in JOB_ACTIONS:
-        errors.append(f"{where}: job.action "
-                      f"{event.get('action')!r} not in {JOB_ACTIONS}")
     if (event_type == "cache_corrupt" and "action" in event
             and event.get("action") not in CACHE_CORRUPT_ACTIONS):
         errors.append(f"{where}: cache_corrupt.action "
@@ -254,7 +241,7 @@ def summarize_events(events: Iterable[dict]) -> Dict[str, Any]:
 
 
 __all__ = ["REQUIRED_FIELDS", "OPTIONAL_FIELDS", "RECOVERY_LABELS",
-           "CHECKPOINT_ACTIONS", "SUPERVISOR_ACTIONS", "JOB_ACTIONS",
+           "CHECKPOINT_ACTIONS", "SUPERVISOR_ACTIONS",
            "CACHE_CORRUPT_ACTIONS", "ORPHAN_SPOOL_ACTIONS",
            "validate_event", "validate_events",
            "check_spans", "summarize_events"]

@@ -93,6 +93,20 @@ def test_parser_has_one_campaign_route(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "sd"],
+    ["submit", "x.src.json", "--serve-dir", "sd"],
+    ["jobs", "list", "sd"],
+])
+def test_parser_has_no_job_server(capsys, argv):
+    """A sweep is `repro compile` plus a loop over `repro campaign`:
+    the job server's subcommands are gone, not ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_campaign_rejects_batch_lanes_below_one(capsys):
     """Regression: K < 1 used to be silently clamped to the scalar
     path; now the parser rejects it outright."""
@@ -109,13 +123,14 @@ def test_campaign_rejects_batch_lanes_below_one(capsys):
     (["campaign", "mcf", "--jobs", "-3"], "must be >= 1"),
     (["figure", "fig7", "--jobs", "0"], "must be >= 1"),
     (["resume", "run", "--jobs", "0"], "must be >= 1"),
-    (["serve", "sd", "--jobs", "0"], "must be >= 1"),
+    (["campaign", "mcf", "--faults", "0"], "must be >= 1"),
     (["campaign", "mcf", "--chunk-windows", "0"], "must be >= 1"),
     (["campaign", "mcf", "--max-retries", "-1"], "must be >= 0"),
     (["campaign", "mcf", "--chunk-timeout", "-5"], "must be > 0"),
     (["campaign", "mcf", "--chunk-timeout", "0"], "must be > 0"),
     (["campaign", "mcf", "--chunk-timeout", "nan"], "must be > 0"),
     (["campaign", "mcf", "--jobs", "two"], "is not an integer"),
+    (["campaign", "mcf", "--faults", "-3"], "must be >= 1"),
 ])
 def test_parser_rejects_bad_execution_values(capsys, argv, message):
     """Regression: these used to be clamped silently (exit 0) although
@@ -136,7 +151,8 @@ def test_parser_accepts_execution_bounds():
 
 @pytest.mark.parametrize("field, value", [
     ("jobs", 0), ("chunk_windows", 0), ("max_retries", -1),
-    ("chunk_timeout", -5), ("batch_lanes", 0)])
+    ("chunk_timeout", -5), ("batch_lanes", 0), ("faults", 0),
+    ("seed", "3")])
 def test_resume_rejects_bad_saved_execution_values(tmp_path, capsys,
                                                    field, value):
     saved = {"command": "campaign", "name": "mcf", "scheme": "faulthound",

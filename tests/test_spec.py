@@ -61,10 +61,6 @@ class TestExpansion:
         with pytest.raises(SpecError, match="empty"):
             compile_spec(_src(sweep={"benchmark": []}))
 
-    def test_priority_carried_through(self):
-        assert compile_spec(_src(priority=5))["priority"] == 5
-        assert compile_spec(_src())["priority"] == 0
-
 
 # ----------------------------------------------------------------------
 # content-addressed keys and dedup
@@ -161,12 +157,6 @@ class TestTaskArgv:
         assert "--no-cache" in text
         assert "--chunk-timeout 2.5" in text
         assert "--run-dir /r" in text
-
-    def test_jobs_override_wins_over_task_jobs(self):
-        run = compile_spec(_src(defaults={"benchmark": "mcf",
-                                          "jobs": 8}))
-        argv = task_argv(run["tasks"][0], jobs=2)
-        assert "--jobs 2" in " ".join(argv)
 
     def test_argv_parses_back_through_the_real_parser(self):
         from repro.cli import build_parser

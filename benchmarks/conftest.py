@@ -28,33 +28,21 @@ import pathlib
 
 import pytest
 
-from repro.harness import ArtifactCache, ExperimentConfig, ExperimentContext
+from repro.harness import (SCALES, ArtifactCache, ExperimentConfig,
+                           ExperimentContext)
 from repro.obs import (EventLog, NULL_LOG, build_manifest,
                        manifest_path_for, write_manifest)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-_SCALES = {
-    "quick": ExperimentConfig(
-        benchmarks=("bzip2", "mcf", "gamess", "apache"),
-        dynamic_target=5_000, num_faults=24,
-        warmup_commits=300, window_commits=120),
-    "default": ExperimentConfig(
-        dynamic_target=20_000, num_faults=120,
-        warmup_commits=400, window_commits=150),
-    "full": ExperimentConfig(
-        dynamic_target=40_000, num_faults=250,
-        warmup_commits=1_000, window_commits=300),
-}
-
 
 def _scale() -> ExperimentConfig:
     name = os.environ.get("REPRO_SCALE", "default")
     try:
-        return _SCALES[name]
+        return SCALES[name]
     except KeyError:
         raise RuntimeError(
-            f"REPRO_SCALE={name!r}; choose from {sorted(_SCALES)}") from None
+            f"REPRO_SCALE={name!r}; choose from {sorted(SCALES)}") from None
 
 
 def _jobs():

@@ -4,8 +4,8 @@ from ..faults.campaign import ThroughputRecord
 from .cache import ArtifactCache
 from .diff import (DiffOutcome, Divergence, FuzzCase, FuzzReport,
                    build_case, lockstep_diff, run_case, run_corpus)
-from .experiment import (ExperimentConfig, ExperimentContext, FaultFreeRun,
-                         SCHEMES, scheme_unit)
+from .experiment import (SCALES, SCHEMES, ExperimentConfig,
+                         ExperimentContext, FaultFreeRun, scheme_unit)
 from .parallel import ContextMetrics, ParallelExecutor
 from .spec import (SpecError, compile_file, compile_spec, load_run,
                    load_spec, task_argv, task_key)
@@ -33,6 +33,7 @@ __all__ = [
     "ParallelExecutor",
     "PhaseReport",
     "QuarantineRecord",
+    "SCALES",
     "SCHEMES",
     "SpecError",
     "Supervisor",

@@ -111,6 +111,18 @@ class ExperimentConfig:
                        warmup_commits=200, window_commits=100)
 
 
+#: The named regeneration scales: ``repro figure --scale`` and the figure
+#: benches' ``REPRO_SCALE``.
+SCALES: Dict[str, ExperimentConfig] = {
+    "quick": ExperimentConfig(benchmarks=("bzip2", "mcf", "gamess", "apache"),
+                              dynamic_target=5_000, num_faults=24,
+                              warmup_commits=300, window_commits=120),
+    "default": ExperimentConfig(),
+    "full": ExperimentConfig(dynamic_target=40_000, num_faults=250,
+                             warmup_commits=1_000, window_commits=300),
+}
+
+
 # ----------------------------------------------------------------------
 # run records
 # ----------------------------------------------------------------------
@@ -615,4 +627,4 @@ class ExperimentContext:
 
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "FaultFreeRun",
-           "SCHEMES", "scheme_unit"]
+           "SCALES", "SCHEMES", "scheme_unit"]

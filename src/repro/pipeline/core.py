@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from operator import attrgetter
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +57,19 @@ _SEVERITY = {
 }
 #: Hoisted bound method: the screening path runs once per memory op.
 _SEVERITY_OF = _SEVERITY.__getitem__
+
+#: Enum members and key functions the per-cycle stages test, as module
+#: globals (one dict lookup, not a class attribute walk per use).
+_WAITING = OpState.WAITING
+_EXECUTING = OpState.EXECUTING
+_COMPLETED = OpState.COMPLETED
+_SQUASHED = OpState.SQUASHED
+_HALT = Opcode.HALT
+_JMP = Opcode.JMP
+_NOP = Opcode.NOP
+_STALL = ForwardStatus.STALL
+_HIT = ForwardStatus.HIT
+_UID = attrgetter("uid")
 
 #: Event horizon for :meth:`PipelineCore.quiescent_until`: returned when
 #: nothing is pending at all, so a hung window jumps straight to its
@@ -119,7 +133,7 @@ class PipelineCore:
                 self._branch_oracles[thread.thread_id] = deque(
                     self._cached_branch_outcomes(program, thread))
         # every rotation of the round-robin thread priority, prebuilt so
-        # the commit/dispatch stages never allocate per cycle
+        # the commit, dispatch and fetch stages never allocate per cycle
         self._thread_orders = self._build_thread_orders()
 
         self.fus = FunctionalUnits(self.hw)
@@ -213,7 +227,10 @@ class PipelineCore:
     # ------------------------------------------------------------------
     @property
     def all_halted(self) -> bool:
-        return all(t.halted for t in self.threads)
+        for thread in self.threads:
+            if not thread.halted:
+                return False
+        return True
 
     def step(self) -> None:
         """Advance the core by one cycle."""
@@ -237,13 +254,9 @@ class PipelineCore:
 
     def _step_stages_timed(self) -> None:
         accumulate = self.stage_seconds
-        for name, stage in (("commit", self._commit_stage),
-                            ("complete", self._complete_stage),
-                            ("issue", self._issue_stage),
-                            ("dispatch", self._dispatch_stage),
-                            ("fetch", self._fetch_stage)):
+        for name, stage in self._TIMED_STAGES:
             started = perf_counter()
-            stage()
+            stage(self)
             accumulate[name] = (accumulate.get(name, 0.0)
                                 + perf_counter() - started)
 
@@ -561,19 +574,17 @@ class PipelineCore:
                 if nxt is None or ready_at < nxt:
                     nxt = ready_at
                 continue
-            # mirror _dispatch_op's resource gates without mutating
+            # mirror _dispatch_stage's resource gates without mutating
             if rob_total < 0:
                 rob_total = sum(len(t.rob) for t in threads)
                 lsq_total = sum(len(t.lsq) for t in threads)
-            if thread.rob.full or rob_total >= self.hw.rob_size:
-                continue
-            if not self.iq.can_accept():
+            if rob_total >= self.hw.rob_size or thread.rob.full \
+                    or not self.iq.can_accept():
                 continue
             if op.is_mem and (thread.lsq.full
                               or lsq_total >= self.hw.lsq_size):
                 continue
-            if (op.inst.writes_reg and op.inst.rd != 0
-                    and self.free_list.empty):
+            if op.writes_reg and self.free_list.empty:
                 continue
             return now + 1    # dispatchable as soon as the stage runs
         for thread in threads:
@@ -731,18 +742,21 @@ class PipelineCore:
     def _commit_stage(self) -> None:
         # gate: commit acts only on a COMPLETED head; every other head
         # state (and an empty ROB) is a stall this stage cannot clear
+        completed = _COMPLETED
         for thread in self.threads:
-            head = thread.rob.head()
-            if head is not None and head.state is OpState.COMPLETED:
+            rob = thread.rob._ops
+            if rob and rob[0].state is completed:
                 break
         else:
             return
         budget = self.hw.commit_width
-        order = self._thread_order()
-        for thread in order:
-            while budget > 0:
-                op = thread.rob.head()
-                if op is None or op.state is not OpState.COMPLETED:
+        commit_checks = self.screening.wants_commit_checks
+        orders = self._thread_orders
+        for thread in orders[self.cycle % len(orders)]:
+            rob = thread.rob._ops
+            while budget > 0 and rob:
+                op = rob[0]
+                if op.state is not completed:
                     break
                 if op.exception_addr is not None:
                     self._deliver_exception(thread, op)
@@ -751,14 +765,12 @@ class PipelineCore:
                 if op.singleton_stall > 0:
                     op.singleton_stall -= 1
                     break
-                if (op.is_mem and not op.lsq_checked
-                        and self.screening.wants_commit_checks):
+                if commit_checks and op.is_mem and not op.lsq_checked:
                     if self._commit_check(thread, op):
                         break  # singleton re-execute stalls this commit
-                if not self._commit_op(thread, op):
-                    budget -= 1
-                    break
                 budget -= 1
+                if not self._commit_op(thread, op):
+                    break
             if budget <= 0:
                 break
 
@@ -804,16 +816,20 @@ class PipelineCore:
 
     def _commit_op(self, thread: ThreadContext, op: MicroOp) -> bool:
         """Architecturally retire the ROB head; False on a late exception."""
-        if op.is_store:
-            try:
-                thread.memory.write(op.eff_addr, op.store_value)
-            except MemoryFault:
-                op.exception_addr = op.eff_addr
-                self._deliver_exception(thread, op)
-                return False
-            self.stats.committed_stores += 1
-        elif op.is_load:
-            self.stats.committed_loads += 1
+        stats = self.stats
+        inst = op.inst
+        if op.is_mem:
+            if op.is_store:
+                try:
+                    thread.memory.write(op.eff_addr, op.store_value)
+                except MemoryFault:
+                    op.exception_addr = op.eff_addr
+                    self._deliver_exception(thread, op)
+                    return False
+                stats.committed_stores += 1
+            else:
+                stats.committed_loads += 1
+            thread.lsq.remove(op)
 
         if op.writes_reg:
             # Free the physical register holding the previous committed
@@ -822,32 +838,25 @@ class PipelineCore:
             # rename-fault corruption of Section 5.5.
             if op.old_phys_dest is not None:
                 self.free_list.free(op.old_phys_dest)
-            thread.committed_rat.set(op.inst.rd, op.phys_dest)
+            thread.committed_rat.set(inst.rd, op.phys_dest)
 
-        if op.is_mem:
-            thread.lsq.remove(op)
         self.iq.remove(op)
-
-        if op.is_branch:
-            thread.arch_pc = (op.inst.imm if op.actual_taken else op.pc + 1)
-        elif op.inst.opcode is Opcode.HALT:
-            thread.arch_pc = op.pc + 1
-        else:
-            thread.arch_pc = op.pc + 1
+        pc = op.pc
+        thread.arch_pc = (inst.imm if op.is_branch and op.actual_taken
+                          else pc + 1)
 
         op.state = OpState.COMMITTED
         op.cycle_committed = self.cycle
-        thread.rob.pop_head()
-        thread.committed_count += 1
-        self.stats.note_commit(thread.thread_id, op.pc)
-        self._maybe_capture(thread)
+        thread.rob._ops.popleft()
+        count = thread.committed_count = thread.committed_count + 1
+        stats.note_commit(thread.thread_id, pc)
+        if self.snapshot_targets:
+            self._maybe_capture(thread)
         if thread.screen_suppress_remaining > 0:
             thread.screen_suppress_remaining -= 1
 
-        if op.inst.opcode is Opcode.HALT:
-            self._halt_thread(thread)
-        elif (thread.max_commits is not None
-                and thread.committed_count >= thread.max_commits):
+        if inst.opcode is _HALT or (thread.max_commits is not None
+                                    and count >= thread.max_commits):
             self._halt_thread(thread)
         return True
 
@@ -909,34 +918,29 @@ class PipelineCore:
     # complete stage
     # ------------------------------------------------------------------
     def _complete_stage(self) -> None:
-        if not self._executing:
+        executing = self._executing
+        if not executing:
             return    # gate for the profiled path; step() gates inline
-        finished = [op for op in self._executing
-                    if op.exec_done_at <= self.cycle]
+        cycle = self.cycle
+        finished = [op for op in executing if op.exec_done_at <= cycle]
         if not finished:
             return
-        finished.sort(key=lambda op: op.uid)
+        finished.sort(key=_UID)
+        running = _EXECUTING
+        try_complete = self._try_complete
+        completed = 0
         for op in finished:
-            if op.state is not OpState.EXECUTING:
-                # squashed earlier this cycle (possibly already unlinked)
-                if op in self._executing:
-                    self._executing.remove(op)
-                continue
-            self._try_complete(op)
-            # completed *and* bounced ops leave the list: a bounced op is
-            # WAITING in the issue queue again, and leaving it here would
-            # let it transiently appear twice if re-issued this cycle —
-            # `_executing` holds exactly the EXECUTING ops, once each
-            if op in self._executing:
-                self._executing.remove(op)
-
-    def _sources_ready(self, op: MicroOp) -> bool:
-        # hot path: direct ready-bit indexing, no generator / method calls
-        ready = self.prf.ready
-        for phys in op.phys_srcs:
-            if not ready[phys]:
-                return False
-        return True
+            # an op squashed earlier this cycle is skipped
+            if op.state is running and try_complete(op):
+                completed += 1
+        self.stats.completed += completed
+        # rebuilt once per cycle: completed, bounced and squashed ops all
+        # leave. A bounced op is WAITING in the issue queue again, and
+        # leaving it here would let it transiently appear twice if
+        # re-issued — `_executing` holds exactly the EXECUTING ops, once
+        # each, in issue order
+        self._executing = [op for op in self._executing
+                           if op.state is running]
 
     def _bounce(self, op: MicroOp) -> None:
         """Return an op whose operands became unready (producer replay) to
@@ -948,10 +952,16 @@ class PipelineCore:
             op.forwarded_from = None
 
     def _try_complete(self, op: MicroOp) -> bool:
-        """Finish execution of *op*; returns False when it bounced."""
-        if not self._sources_ready(op):
-            self._bounce(op)
-            return False
+        """Finish execution of *op*; returns False when it bounced. The
+        caller counts completions into ``stats.completed``."""
+        prf = self.prf
+        srcs = op.phys_srcs
+        ready = prf.ready
+        for phys in srcs:
+            if not ready[phys]:
+                self._bounce(op)
+                return False
+        stats = self.stats
         thread = self.threads[op.thread_id]
         inst = op.inst
         opcode = inst.opcode
@@ -960,35 +970,31 @@ class PipelineCore:
             if not self._complete_load(thread, op):
                 return False
         elif op.is_store:
-            base = self.prf.read(op.phys_srcs[0])
-            op.eff_addr = effective_address(base, inst.imm)
-            op.store_value = self.prf.read(op.phys_srcs[1])
-            self.stats.regfile_reads += 2
+            values = prf.values
+            op.eff_addr = effective_address(values[srcs[0]], inst.imm)
+            op.store_value = values[srcs[1]]
+            stats.regfile_reads += 2
             if not check_address(op.eff_addr):
                 op.exception_addr = op.eff_addr
             else:
                 self._check_order_violation(thread, op)
         elif op.is_branch:
             self._complete_branch(thread, op)
-        elif opcode in (Opcode.NOP, Opcode.HALT):
-            pass
-        else:
-            srcs = [self.prf.read(p) for p in op.phys_srcs]
-            self.stats.regfile_reads += len(srcs)
-            a = srcs[0] if srcs else 0
-            b = srcs[1] if len(srcs) > 1 else 0
-            op.result = alu_result(opcode, a, b, inst.imm)
+        elif opcode is not _NOP and opcode is not _HALT:
+            values = prf.values
+            count = len(srcs)
+            stats.regfile_reads += count
+            op.result = alu_result(
+                opcode, values[srcs[0]] if count else 0,
+                values[srcs[1]] if count > 1 else 0, inst.imm)
 
-        if op.phys_dest is not None and op.result is not None:
-            self.prf.write(op.phys_dest, op.result)
-            self.stats.regfile_writes += 1
-        elif op.phys_dest is not None:
-            self.prf.write(op.phys_dest, 0)
-            self.stats.regfile_writes += 1
+        if op.phys_dest is not None:
+            result = op.result
+            prf.write(op.phys_dest, 0 if result is None else result)
+            stats.regfile_writes += 1
 
-        op.state = OpState.COMPLETED
+        op.state = _COMPLETED
         op.cycle_completed = self.cycle
-        self.stats.completed += 1
         was_replay = op.replay_marked
         if was_replay:
             op.replay_marked = False
@@ -1132,18 +1138,27 @@ class PipelineCore:
         restored mapping by mapping (branch-mispredict recovery); otherwise
         the caller restores the table wholesale (full rollback) or does not
         need it (halt)."""
+        iq_remove = self.iq.remove
+        free = self.free_list.free
+        replay_pending = self._replay_pending
+        squashed = _SQUASHED
+        was_executing = False
         for op in ops:
-            if restore_walk and op.phys_dest is not None:
-                thread.spec_rat.set(op.inst.rd, op.old_phys_dest)
             if op.phys_dest is not None:
-                self.free_list.free(op.phys_dest)
-            self.iq.remove(op)
-            if op.state is OpState.EXECUTING and op in self._executing:
-                self._executing.remove(op)
-            self._replay_pending.discard(op.uid)
-            op.state = OpState.SQUASHED
-            self.stats.squashed += 1
-        if not self._replay_pending:
+                if restore_walk:
+                    thread.spec_rat.set(op.inst.rd, op.old_phys_dest)
+                free(op.phys_dest)
+            iq_remove(op)
+            if op.state is _EXECUTING:
+                was_executing = True
+            replay_pending.discard(op.uid)
+            op.state = squashed
+        self.stats.squashed += len(ops)
+        if was_executing:
+            # rebuilt once for the whole squash: the SQUASHED ops drop out
+            self._executing = [op for op in self._executing
+                               if op.state is _EXECUTING]
+        if not replay_pending:
             self.screening.replaying = False
 
     def _check_order_violation(self, thread: ThreadContext,
@@ -1178,136 +1193,160 @@ class PipelineCore:
     # issue stage
     # ------------------------------------------------------------------
     def _issue_stage(self) -> None:
-        if self.iq.empty or self.cycle < self._issue_suspended_until:
+        iq_ops = self.iq._ops
+        cycle = self.cycle
+        if not iq_ops or cycle < self._issue_suspended_until:
             return
         budget = self.hw.issue_width
         # hot loop: hoist the shared-structure attribute lookups and walk
-        # the queue's list directly (waiting_ops() semantics inlined —
-        # dispatch order, WAITING only; issuing flips states but never
-        # mutates the list)
-        threads = self.threads
-        prf = self.prf
-        fus = self.fus
-        stats = self.stats
-        ready_bits = prf.ready
-        waiting = OpState.WAITING
-        for op in self.iq._ops:
+        # the queue directly (waiting_ops() semantics inlined — dispatch
+        # order, WAITING only; issuing flips states but never mutates the
+        # queue)
+        ready_bits = self.prf.ready
+        try_claim = self.fus.try_claim
+        issue = self._executing.append
+        waiting = _WAITING
+        running = _EXECUTING
+        issued = 0
+        for op in iq_ops:
             if op.state is not waiting:
                 continue
-            if budget <= 0:
-                break
             # hot path: inline operand-ready check
-            srcs_ready = True
             for phys in op.phys_srcs:
                 if not ready_bits[phys]:
-                    srcs_ready = False
                     break
-            if not srcs_ready:
-                continue
-            thread = threads[op.thread_id]
-            inst = op.inst
-            latency = inst.latency
-            if op.is_load:
-                base = prf.read(op.phys_srcs[0])
-                address = effective_address(base, inst.imm)
-                valid = check_address(address)
-                status = ForwardStatus.MISS
-                if valid:
-                    # probe forwarding (side-effect free) before claiming
-                    # a unit: a STALL must not issue at all, it would
-                    # either read stale memory or burn the FU slot
-                    status, _value, _uid = thread.lsq.forward_value(
-                        op, address)
-                    if status is ForwardStatus.STALL:
+            else:
+                inst = op.inst
+                if op.is_load:
+                    latency = self._load_issue_latency(op)
+                    if latency is None:
                         continue
-                if not fus.try_claim(inst.op_class):
-                    continue
-                if not valid:
-                    latency = 1  # exception resolved at completion
-                elif status is ForwardStatus.HIT:
-                    latency = self.hw.l1d_latency
+                elif try_claim(inst.op_class):
+                    latency = inst.latency
                 else:
-                    hierarchy = (self._ideal_hierarchy
-                                 if thread.ideal_memory else self.hierarchy)
-                    latency = hierarchy.access(
-                        address, now=self.cycle,
-                        space=op.thread_id).latency
-            elif not fus.try_claim(inst.op_class):
-                continue
-            op.state = OpState.EXECUTING
-            op.cycle_issued = self.cycle
-            op.exec_done_at = self.cycle + latency
-            self._executing.append(op)
-            stats.issued += 1
-            budget -= 1
+                    continue
+                op.state = running
+                op.cycle_issued = cycle
+                op.exec_done_at = cycle + latency
+                issue(op)
+                issued += 1
+                if issued == budget:
+                    break
+        self.stats.issued += issued
+
+    def _load_issue_latency(self, op: MicroOp) -> Optional[int]:
+        """Issue a ready load: claim a memory port and return its
+        execution latency, or None when it cannot issue this cycle."""
+        inst = op.inst
+        address = effective_address(self.prf.values[op.phys_srcs[0]],
+                                    inst.imm)
+        if not check_address(address):
+            # exception resolved at completion
+            return 1 if self.fus.try_claim(inst.op_class) else None
+        # probe forwarding (side-effect free) before claiming a unit: a
+        # STALL must not issue at all, it would either read stale memory
+        # or burn the FU slot
+        thread = self.threads[op.thread_id]
+        status, _value, _uid = thread.lsq.forward_value(op, address)
+        if status is _STALL or not self.fus.try_claim(inst.op_class):
+            return None
+        if status is _HIT:
+            return self.hw.l1d_latency
+        hierarchy = (self._ideal_hierarchy if thread.ideal_memory
+                     else self.hierarchy)
+        return hierarchy.access(address, now=self.cycle,
+                                space=op.thread_id).latency
 
     # ------------------------------------------------------------------
     # dispatch stage
     # ------------------------------------------------------------------
     def _dispatch_stage(self) -> None:
-        if not any(self._fetch_buffers):
+        buffers = self._fetch_buffers
+        if not any(buffers):
             return    # nothing to dispatch: skip the occupancy sums too
-        if not self.iq.can_accept():
+        iq = self.iq
+        iq_ops = iq._ops
+        iq_cap = iq.capacity
+        delay_buffer = iq.delay_buffer
+        if len(iq_ops) >= iq_cap and not delay_buffer:
             return    # dispatch only fills the IQ, so a full queue at
             # stage entry blocks every candidate this cycle
-        budget = self.hw.decode_width
-        # snapshot aggregate occupancies once per cycle; dispatches below
-        # update the running totals
-        self._rob_total = sum(len(t.rob) for t in self.threads)
-        self._lsq_total = sum(len(t.lsq) for t in self.threads)
-        for thread in self._thread_order():
-            buffer = self._fetch_buffers[thread.thread_id]
+        hw = self.hw
+        cycle = self.cycle
+        threads = self.threads
+        free_tags = self.free_list._tags
+        allocate = self.free_list.allocate
+        ready_bits = self.prf.ready
+        # ROB and LSQ are shared dynamically: dispatch checks aggregate
+        # occupancy across all SMT contexts, snapshotted once per cycle
+        # and kept current below
+        rob_size = hw.rob_size
+        lsq_size = hw.lsq_size
+        rob_total = 0
+        lsq_total = 0
+        for thread in threads:
+            rob_total += len(thread.rob._ops)
+            lsq_total += len(thread.lsq._ops)
+        budget = hw.decode_width
+        orders = self._thread_orders
+        for thread in orders[cycle % len(orders)]:
+            buffer = buffers[thread.thread_id]
+            if not buffer:
+                continue
+            rob = thread.rob
+            rob_ops = rob._ops
+            lsq = thread.lsq
+            spec_rat = thread.spec_rat
+            rename = spec_rat.map
             while budget > 0 and buffer:
                 op = buffer[0]
-                if op.dispatch_ready_at > self.cycle:
+                if op.dispatch_ready_at > cycle:
                     break
-                if not self._dispatch_op(thread, op):
+                # the resource gates; all pure, cheapest first. A full
+                # issue queue still accepts by evicting the delay buffer
+                if (rob_total >= rob_size or len(rob_ops) >= rob.capacity
+                        or (len(iq_ops) >= iq_cap and not delay_buffer)):
                     break
+                is_mem = op.is_mem
+                if is_mem and (len(lsq._ops) >= lsq.capacity
+                               or lsq_total >= lsq_size):
+                    break
+                # op.writes_reg already folds in the rd != 0 discard rule
+                writes_reg = op.writes_reg
+                if writes_reg and not free_tags:
+                    break
+
+                inst = op.inst
+                srcs = inst._source_regs
+                if len(srcs) == 2:
+                    op.phys_srcs = (rename[srcs[0]], rename[srcs[1]])
+                elif srcs:
+                    op.phys_srcs = (rename[srcs[0]],)
+                if writes_reg:
+                    new_phys = allocate()
+                    op.old_phys_dest = rename[inst.rd]
+                    op.phys_dest = new_phys
+                    ready_bits[new_phys] = False
+                    spec_rat.set(inst.rd, new_phys)
+                iq.insert(op)
                 buffer.popleft()
+                rob_ops.append(op)
+                rob_total += 1
+                if is_mem:
+                    lsq._ops.append(op)
+                    lsq_total += 1
                 budget -= 1
             if budget <= 0:
                 break
-
-    def _dispatch_op(self, thread: ThreadContext, op: MicroOp) -> bool:
-        # ROB and LSQ are shared dynamically: dispatch checks aggregate
-        # occupancy across all SMT contexts (cheapest comparisons first —
-        # all the gates are pure, so order is free).
-        if self._rob_total >= self.hw.rob_size or thread.rob.full \
-                or not self.iq.can_accept():
-            return False
-        if op.is_mem and (thread.lsq.full
-                          or self._lsq_total >= self.hw.lsq_size):
-            return False
-        # op.writes_reg already folds in the rd != 0 discard rule
-        if op.writes_reg and self.free_list.empty:
-            return False
-
-        inst = op.inst
-        op.phys_srcs = tuple(thread.spec_rat.get(r)
-                             for r in inst.source_regs())
-        if op.writes_reg:
-            new_phys = self.free_list.allocate()
-            op.old_phys_dest = thread.spec_rat.get(inst.rd)
-            op.phys_dest = new_phys
-            self.prf.mark_pending(new_phys)
-            thread.spec_rat.set(inst.rd, new_phys)
-
-        if not self.iq.insert(op):
-            # roll the rename back; this should not happen after can_accept
-            if op.phys_dest is not None:
-                thread.spec_rat.set(op.inst.rd, op.old_phys_dest)
-                self.free_list.free(op.phys_dest)
-                op.phys_dest = None
-            return False
-        if self.iq.delay_buffer.squashes > self.stats.delay_buffer_squashes:
-            self.stats.delay_buffer_squashes = self.iq.delay_buffer.squashes
-        thread.rob.push(op)
-        self._rob_total += 1
-        if op.is_mem:
-            thread.lsq.push(op)
-            self._lsq_total += 1
-        self.stats.dispatched += 1
-        return True
+        self._rob_total = rob_total
+        self._lsq_total = lsq_total
+        dispatched = hw.decode_width - budget
+        if dispatched:
+            stats = self.stats
+            stats.dispatched += dispatched
+            squashes = delay_buffer.squashes
+            if squashes > stats.delay_buffer_squashes:
+                stats.delay_buffer_squashes = squashes
 
     # ------------------------------------------------------------------
     # fetch stage
@@ -1316,38 +1355,45 @@ class PipelineCore:
         thread = self._fetch_thread()
         if thread is None:
             return
-        buffer = self._fetch_buffers[thread.thread_id]
-        predictor = self.predictors[thread.thread_id]
-        oracle = self._branch_oracles.get(thread.thread_id)
-        for _ in range(self.hw.fetch_width):
-            if len(buffer) >= FETCH_BUFFER_CAP:
+        tid = thread.thread_id
+        buffer = self._fetch_buffers[tid]
+        predictor = self.predictors[tid]
+        oracle = self._branch_oracles.get(tid)
+        instructions = thread.program.instructions
+        end = len(instructions)
+        cycle = self.cycle
+        ready_at = cycle + FRONTEND_DEPTH
+        pc = thread.fetch_pc
+        uid = self._uid
+        for _ in range(min(self.hw.fetch_width,
+                           FETCH_BUFFER_CAP - len(buffer))):
+            if not 0 <= pc < end:
+                thread.stop_fetch()    # ran off the end of the program
                 break
-            inst = thread.program.fetch(thread.fetch_pc)
-            if inst is None:
-                thread.stop_fetch()
-                break
-            self._uid += 1
-            op = MicroOp(self._uid, thread.thread_id, thread.fetch_pc, inst,
-                         self.cycle, self.cycle + FRONTEND_DEPTH)
-            if inst.opcode is Opcode.JMP:
-                thread.fetch_pc = inst.imm
-            elif inst.is_branch:
+            inst = instructions[pc]
+            uid += 1
+            op = MicroOp(uid, tid, pc, inst, cycle, ready_at)
+            buffer.append(op)
+            if op.is_branch:
+                if inst.opcode is _JMP:
+                    pc = inst.imm
+                    continue
                 hint = None
                 if oracle is not None:
                     hint = oracle.popleft() if oracle else False
-                op.predicted_taken = predictor.predict(
-                    thread.thread_id, thread.fetch_pc, hint)
-                thread.fetch_pc = (inst.imm if op.predicted_taken
-                                   else thread.fetch_pc + 1)
+                taken = op.predicted_taken = predictor.predict(tid, pc, hint)
+                if taken:
+                    pc = inst.imm
+                    break  # taken-branch redirect ends the fetch group
+                pc += 1
             else:
-                thread.fetch_pc += 1
-            buffer.append(op)
-            self.stats.fetched += 1
-            if inst.opcode is Opcode.HALT:
-                thread.stop_fetch()
-                break
-            if inst.is_branch and op.predicted_taken:
-                break  # taken-branch redirect ends the fetch group
+                pc += 1
+                if inst.opcode is _HALT:
+                    thread.stop_fetch()
+                    break
+        self.stats.fetched += uid - self._uid
+        self._uid = uid
+        thread.fetch_pc = pc
 
     def _fetch_thread(self) -> Optional[ThreadContext]:
         """ICOUNT fetch policy: the eligible thread with the fewest
@@ -1360,16 +1406,17 @@ class PipelineCore:
         """
         best = None
         best_count = None
-        n = len(self.threads)
-        for offset in range(n):
-            thread = self.threads[(self.cycle + offset) % n]
-            if (not thread.fetch_active
-                    or self.cycle < thread.fetch_stalled_until
-                    or len(self._fetch_buffers[thread.thread_id])
-                    >= FETCH_BUFFER_CAP):
+        cycle = self.cycle
+        buffers = self._fetch_buffers
+        orders = self._thread_orders
+        for thread in orders[cycle % len(orders)]:
+            if (thread.halted or thread.fetch_stopped
+                    or cycle < thread.fetch_stalled_until):
                 continue
-            in_flight = (len(thread.rob)
-                         + len(self._fetch_buffers[thread.thread_id]))
+            buffered = len(buffers[thread.thread_id])
+            if buffered >= FETCH_BUFFER_CAP:
+                continue
+            in_flight = len(thread.rob._ops) + buffered
             if best_count is None or in_flight < best_count:
                 best, best_count = thread, in_flight
         return best
@@ -1379,9 +1426,12 @@ class PipelineCore:
         n = len(threads)
         return [threads[i:] + threads[:i] for i in range(n)]
 
-    def _thread_order(self) -> List[ThreadContext]:
-        orders = self._thread_orders
-        return orders[self.cycle % len(orders)]
+    #: The stages in cycle order, for the profiled step.
+    _TIMED_STAGES = (("commit", _commit_stage),
+                     ("complete", _complete_stage),
+                     ("issue", _issue_stage),
+                     ("dispatch", _dispatch_stage),
+                     ("fetch", _fetch_stage))
 
 
 __all__ = ["PipelineCore", "FRONTEND_DEPTH"]

@@ -12,7 +12,7 @@ completed instruction, in which case the whole delay buffer is squashed
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional
 
 from .uops import MicroOp, OpState
 
@@ -77,16 +77,26 @@ class DelayBuffer:
 class IssueQueue:
     """Shared out-of-order scheduling window.
 
-    Ops occupy a slot from dispatch until they either commit-with-
-    completion... more precisely: until they age out of the delay buffer
-    after completing, are evicted by a dispatching newcomer, commit, or are
-    squashed. Replay-marked ops revert to WAITING in place.
+    Ops occupy a slot from dispatch until they age out of the delay
+    buffer after completing, are evicted by a dispatching newcomer,
+    commit, or are squashed. Replay-marked ops revert to WAITING in place.
+
+    ``_ops`` is an insertion-ordered dict used as an ordered set (values
+    are unused): iteration is dispatch order, and removal — at every
+    commit, completion, eviction and squash — is O(1).
     """
 
     def __init__(self, capacity: int, delay_buffer_size: int):
         self.capacity = capacity
         self.delay_buffer = DelayBuffer(delay_buffer_size)
-        self._ops: List[MicroOp] = []
+        self._ops: Dict[MicroOp, None] = {}
+
+    def __setstate__(self, state) -> None:
+        # queues pickled when ``_ops`` was a list restore as the ordered
+        # dict, in the same order (checkpoint compatibility)
+        self.__dict__.update(state)
+        if isinstance(self._ops, list):
+            self._ops = dict.fromkeys(self._ops)
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -116,27 +126,31 @@ class IssueQueue:
         Eviction of a completed op squashes the entire delay buffer
         (Section 3.3: later buffered ops must not wait on a replaced one).
         """
+        ops = self._ops
         if not self.has_free_slot:
             if not self.delay_buffer:
                 return False
             for dropped in self.delay_buffer.squash():
-                if dropped in self._ops:
-                    self._ops.remove(dropped)
-        self._ops.append(op)
+                ops.pop(dropped, None)
+        ops[op] = None
         op.state = OpState.WAITING
         return True
 
     def remove(self, op: MicroOp) -> None:
         self.delay_buffer.remove(op)
-        if op in self._ops:
-            self._ops.remove(op)
+        self._ops.pop(op, None)
 
     def on_complete(self, op: MicroOp) -> None:
         """Completion: the op enters the delay buffer instead of leaving;
         the op that ages out finally vacates its slot."""
-        evicted = self.delay_buffer.push(op)
-        if evicted is not None and evicted in self._ops:
-            self._ops.remove(evicted)
+        buffer = self.delay_buffer
+        if buffer.capacity:
+            evicted = buffer.push(op)
+            if evicted is None:
+                return
+        else:
+            evicted = op    # no delay buffer: the op leaves at once
+        self._ops.pop(evicted, None)
 
     def clone(self, clone_op) -> "IssueQueue":
         """Copy for core forking; *clone_op* maps each op to its clone,
@@ -144,7 +158,7 @@ class IssueQueue:
         twin = IssueQueue.__new__(IssueQueue)
         twin.capacity = self.capacity
         twin.delay_buffer = self.delay_buffer.clone(clone_op)
-        twin._ops = [clone_op(op) for op in self._ops]
+        twin._ops = dict.fromkeys(map(clone_op, self._ops))
         return twin
 
     def waiting_ops(self) -> Iterator[MicroOp]:
@@ -155,7 +169,7 @@ class IssueQueue:
         place, preserving their position. Avoiding a per-cycle sort is a
         measurable win in the hottest loop, and the lazy generator lets
         the issue stage stop scanning the moment its width budget runs
-        out (issuing flips states but never mutates the list itself, so
+        out (issuing flips states but never mutates the queue itself, so
         iterating live is safe)."""
         for op in self._ops:
             if op.state is OpState.WAITING:

@@ -22,6 +22,7 @@ from repro.harness.cache import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
 from repro.harness.parallel import (CheckpointStats, chunk_bounds,
                                     window_chunk_task)
+from repro.isa.opcodes import OpClass
 from repro.pipeline import (CoreCheckpoint, capture_checkpoint,
                             restore_checkpoint)
 
@@ -140,6 +141,38 @@ class TestCoreCheckpoint:
         assert thawed.resume_at_commit == 300
         assert thawed.nbytes == checkpoint.nbytes
         assert _signature(thawed.restore()) == _signature(core)
+
+    def test_list_shaped_issue_queue_restores_and_steps_identically(self):
+        # cores pickled when IssueQueue._ops was a list migrate on load
+        core = _warm_core()
+        while not core.iq.delay_buffer:    # hold lingering ops too
+            core.step()
+        old = core.clone()
+        old.iq._ops = list(old.iq._ops)
+        restored = pickle.loads(pickle.dumps(old))
+        assert isinstance(restored.iq._ops, dict)
+        assert [o.uid for o in restored.iq] == [o.uid for o in core.iq]
+        for _ in range(1_500):
+            core.step()
+            restored.step()
+        assert _signature(restored) == _signature(core)
+
+    def test_dict_shaped_functional_units_restore_and_step_identically(self):
+        # cores pickled when FunctionalUnits kept OpClass-keyed dicts
+        core = _warm_core()
+        old = core.clone()
+        hw = old.hw
+        old.fus.__dict__ = {
+            "_limits": {OpClass.ALU: hw.num_alus, OpClass.MUL: hw.num_muls,
+                        OpClass.FPU: hw.num_fpus, OpClass.LOAD: 2,
+                        OpClass.STORE: 2, OpClass.BRANCH: hw.num_alus,
+                        OpClass.OTHER: hw.num_alus},
+            "_available": {}, "_mem_available": 0}
+        restored = pickle.loads(pickle.dumps(old))
+        for _ in range(1_500):
+            core.step()
+            restored.step()
+        assert _signature(restored) == _signature(core)
 
     def test_module_level_mirrors(self):
         core = _warm_core()

@@ -95,21 +95,12 @@ def _supervisor_overhead(name, payload, saved_at):
                  f"{pct:+.1f}% overhead", saved_at)]
 
 
-def _batched_lanes(name, payload, saved_at):
-    return [_row(name, "masked-heavy campaign (windows/s), "
-                       f"{payload['batch_lanes']} lanes",
-                 f"{payload['scalar_windows_per_sec']:,} win/s (scalar)",
-                 f"{payload['batched_windows_per_sec']:,} win/s (batched)",
-                 payload["speedup"], saved_at)]
-
-
 EXTRACTORS: Dict[str, Callable] = {
     "bench_clone_vs_deepcopy": _clone_vs_deepcopy,
     "bench_fastforward": _fastforward,
     "bench_metrics_overhead": _metrics_overhead,
     "bench_null_metrics_call": _null_metrics_call,
     "bench_supervisor_overhead": _supervisor_overhead,
-    "bench_batched_lanes": _batched_lanes,
 }
 
 

@@ -222,13 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(SCHEMES))
     campaign.add_argument("--faults", type=_positive_int, default=60)
     campaign.add_argument("--seed", type=int, default=3)
-    campaign.add_argument("--batch-lanes", type=_positive_int, default=1,
-                          dest="batch_lanes", metavar="K",
-                          help="group K fault windows into one batched "
-                               "tandem lane batch (dormant faults skip "
-                               "the clone and faulty re-execution); "
-                               "results are bit-for-bit identical to "
-                               "the default scalar path (K=1)")
     _add_exec_flags(campaign)
     _add_supervisor_flags(campaign)
 
@@ -444,8 +437,7 @@ def _campaign_config(args) -> ExperimentConfig:
         dynamic_target=400 + (args.faults + 2) * window,
         num_faults=args.faults, seed=args.seed,
         warmup_commits=400, window_commits=window,
-        max_window_cycles=60_000,
-        batch_lanes=getattr(args, "batch_lanes", 1))
+        max_window_cycles=60_000)
 
 
 def _save_campaign_args(args) -> None:
@@ -459,7 +451,6 @@ def _save_campaign_args(args) -> None:
     document = {"command": "campaign", "name": args.name,
                 "scheme": args.scheme, "faults": args.faults,
                 "seed": args.seed, "jobs": args.jobs,
-                "batch_lanes": getattr(args, "batch_lanes", 1),
                 "no_cache": bool(args.no_cache),
                 "max_retries": args.max_retries,
                 "chunk_timeout": args.chunk_timeout,
@@ -533,7 +524,7 @@ def _print_quarantine(supervisor) -> None:
 
 
 #: campaign.json fields ``repro resume`` re-validates before running
-_RESUME_CHECKED = ("faults", "seed", "batch_lanes", "jobs", "max_retries",
+_RESUME_CHECKED = ("faults", "seed", "jobs", "max_retries",
                    "chunk_timeout", "chunk_windows")
 
 
@@ -563,7 +554,6 @@ def _cmd_resume(args) -> int:
     namespace = argparse.Namespace(
         command="campaign", name=saved["name"], scheme=saved["scheme"],
         faults=saved["faults"], seed=saved["seed"],
-        batch_lanes=int(saved.get("batch_lanes", 1)),
         jobs=args.jobs if args.jobs is not None else saved.get("jobs"),
         no_cache=bool(saved.get("no_cache", False)),
         emit_events=args.emit_events, profile=False,

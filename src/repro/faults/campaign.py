@@ -139,7 +139,6 @@ class Campaign:
                  num_faults: int = 200, seed: int = 1,
                  warmup_commits: int = 500, window_commits: int = 300,
                  max_window_cycles: int = 60_000,
-                 batch_lanes: int = 1,
                  metrics=NULL_METRICS):
         self.benchmark = benchmark
         self.baseline_factory = baseline_factory
@@ -149,11 +148,6 @@ class Campaign:
         self.warmup_commits = warmup_commits
         self.window_commits = window_commits
         self.max_window_cycles = max_window_cycles
-        #: Lane-batch width handed to every classifier this campaign
-        #: builds (serial, parallel chunk workers, supervisor — all of
-        #: which rebuild the campaign from the same config, so the knob
-        #: follows automatically). 1 = scalar tandem.
-        self.batch_lanes = batch_lanes
         self.injector = FaultInjector(seed, num_phys_regs, num_threads)
         # Injection points evenly spaced one run-window apart, so the
         # serial golden run never has to rewind (classifier contract).
@@ -175,7 +169,6 @@ class Campaign:
         return TandemClassifier(factory, self.injector,
                                 window_commits=self.window_commits,
                                 max_window_cycles=self.max_window_cycles,
-                                batch_lanes=self.batch_lanes,
                                 metrics=(metrics if metrics is not None
                                          else self.metrics))
 

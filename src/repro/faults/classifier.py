@@ -16,13 +16,17 @@ serving all injections from one benchmark run).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from ..obs.metrics import LATENCY_CYCLE_BUCKETS, NULL_METRICS
 from ..pipeline.core import PipelineCore
 from .injector import FaultInjector
 from .model import FaultClass, FaultRecord, FaultSite
+
+#: Cycles an LSQ fault waits for an executed entry to land on before the
+#: window is reported as not applied.
+LSQ_WAIT_CYCLES = 200
 
 
 @dataclass
@@ -48,28 +52,6 @@ class WindowResult:
     inject_cycle: int = -1
     first_trigger_cycle: int = -1
     detection_latency: int = -1
-
-
-@dataclass
-class LaneStats:
-    """Lane lifecycle tallies from the batched tandem engine (always
-    maintained, independent of the metrics registry, so equivalence
-    tests can assert e.g. "no masked fault ever materialized")."""
-
-    lanes: int = 0              # lanes processed by the batched engine
-    dormant: int = 0            # lanes classified without a clone
-    converged: int = 0          # ... of which via patch-death detection
-    materialized: int = 0       # lanes that diverged (lane_divergences)
-    fallbacks: int = 0          # LSQ scalar delegations (batch_fallbacks)
-    dormant_cycles: int = 0     # golden cycles spent with a lane dormant
-
-    def merge(self, other: "LaneStats") -> None:
-        self.lanes += other.lanes
-        self.dormant += other.dormant
-        self.converged += other.converged
-        self.materialized += other.materialized
-        self.fallbacks += other.fallbacks
-        self.dormant_cycles += other.dormant_cycles
 
 
 @dataclass
@@ -102,33 +84,15 @@ class TandemClassifier:
                  injector: FaultInjector,
                  window_commits: int = 300,
                  max_window_cycles: int = 60_000,
-                 lsq_wait_cycles: int = 200,
-                 sanitize: bool = True,
-                 batch_lanes: int = 1,
                  metrics=NULL_METRICS):
         self.core_factory = core_factory
         self.injector = injector
         self.window_commits = window_commits
         self.max_window_cycles = max_window_cycles
-        self.lsq_wait_cycles = lsq_wait_cycles
-        #: Lane-batch width for the batched tandem engine
-        #: (repro.faults.batched). 1 = the scalar clone-per-fault path;
-        #: K > 1 groups K consecutive windows into one lane batch whose
-        #: dormant lanes skip the clone and the faulty-side re-execution
-        #: entirely. Results are bit-for-bit identical either way.
-        self.batch_lanes = max(1, batch_lanes)
-        #: Cumulative lane lifecycle tallies (empty on the scalar path).
-        self.lane_stats = LaneStats()
         #: Live-telemetry registry (repro.obs.metrics); NULL when off.
         #: Observes only per-window facts, never the golden core's
         #: cumulative stats, so results stay bit-for-bit metrics on/off.
         self.metrics = metrics
-        #: Arm the invariant sanitizer on the golden core, checked at
-        #: every window's capture point (repro.pipeline.invariants) —
-        #: campaigns self-validate their golden reference. Faulty forks
-        #: are never sanitized (clone() drops the sanitizer): their
-        #: rename invariants break by design.
-        self.sanitize = sanitize
 
     # ------------------------------------------------------------------
     def run(self, records: List[FaultRecord],
@@ -154,24 +118,9 @@ class TandemClassifier:
         if golden is None:
             golden = self.core_factory()
         self._arm_sanitizer(golden)
-        results: List[WindowResult] = []
-        if self.batch_lanes > 1:
-            for start in range(0, len(records), self.batch_lanes):
-                group = records[start:start + self.batch_lanes]
-                results.extend(self._classify_batch(golden, group))
-        else:
-            for record in records:
-                result = self._classify_one(golden, record)
-                results.append(result)
+        results = [self._classify_one(golden, record) for record in records]
         self._record_metrics(results)
         return results
-
-    def _classify_batch(self, golden: PipelineCore,
-                        records: Sequence[FaultRecord]) -> List[WindowResult]:
-        """One lane batch over the shared golden core (imported lazily:
-        repro.faults.batched imports this module)."""
-        from .batched import LaneBatch
-        return LaneBatch(self).run(golden, records)
 
     def _record_metrics(self, results: Sequence[WindowResult]) -> None:
         """Fold one run's per-window observations into the registry."""
@@ -198,11 +147,13 @@ class TandemClassifier:
     def _arm_sanitizer(self, golden: PipelineCore) -> None:
         """Arm the invariant sanitizer on the golden core in explicit-
         check mode: one full check per window at the capture point, well
-        under the ≤2× golden-pass budget. Never rearms (a restored
-        checkpoint may carry an armed sanitizer already) and never
-        touches the per-cycle step path."""
-        if self.sanitize \
-                and getattr(golden, "_sanitizer", None) is None \
+        under the ≤2× golden-pass budget — campaigns self-validate their
+        golden reference (repro.pipeline.invariants). Faulty forks are
+        never sanitized (clone() drops the sanitizer): their rename
+        invariants break by design. Never rearms (a restored checkpoint
+        may carry an armed sanitizer already) and never touches the
+        per-cycle step path."""
+        if getattr(golden, "_sanitizer", None) is None \
                 and hasattr(golden, "enable_sanitizer"):
             golden.enable_sanitizer(every=0)
 
@@ -288,16 +239,12 @@ class TandemClassifier:
                         record: FaultRecord, before: _EventBaseline,
                         triggers_before: int,
                         inject_cycle: int) -> WindowResult:
-        """Classify one finished window from its golden/faulty pair.
-
-        The comparison tail shared by the scalar path and the batched
-        engine's materialized lanes — and, with ``faulty is golden``, the
-        batched engine's dormant/converged lanes: a lane whose patch was
-        never read (and, if overwritten, overwritten with a value
-        computed from un-patched state) is the golden core, and feeding
-        golden for both sides reproduces every scalar formula exactly
-        (zero event deltas bar the declared-fault count, ``state_equal``
-        iff all snapshots captured, never noisy — masked).
+        """Classify one finished window from its golden/faulty pair:
+        extra exceptions (or a faulty-only halt) make it noisy, equal
+        captured snapshots make it masked, anything else is an SDC.
+        Scheme event counts are the faulty core's deltas since injection
+        minus the golden core's false-positive background over the same
+        window.
         """
         result = WindowResult(record=record)
         result.inject_cycle = inject_cycle
@@ -351,8 +298,8 @@ class TandemClassifier:
 
     def _apply_with_retry(self, faulty: PipelineCore,
                           record: FaultRecord) -> bool:
-        """Inject; LSQ faults wait (a bounded number of cycles) for an
-        executed entry to exist.
+        """Inject; LSQ faults wait (at most :data:`LSQ_WAIT_CYCLES`) for
+        an executed entry to exist.
 
         The retry loop elides provably idle cycles: the LSQ's executed-
         entry set cannot change while the core is quiescent, so a failing
@@ -364,7 +311,7 @@ class TandemClassifier:
             return True
         if record.site is not FaultSite.LSQ:
             return False
-        bound = faulty.cycle + self.lsq_wait_cycles
+        bound = faulty.cycle + LSQ_WAIT_CYCLES
         signature = -1
         while faulty.cycle < bound:
             if faulty.all_halted:
@@ -395,4 +342,4 @@ class _Delta:
         self.triggers = after.triggers - before.triggers
 
 
-__all__ = ["LaneStats", "TandemClassifier", "WindowResult"]
+__all__ = ["TandemClassifier", "WindowResult"]

@@ -95,10 +95,6 @@ class ExperimentConfig:
     window_commits: int = 150
     max_window_cycles: int = 40_000
     seed: int = 7
-    #: Lane-batch width for the batched tandem engine
-    #: (repro.faults.batched); 1 = the scalar clone-per-fault path.
-    #: Campaign results are bit-for-bit identical for any value.
-    batch_lanes: int = 1
     #: "fixed" uses ``srt_fixed_coverage`` for SRT-iso's thinning;
     #: "measured" uses each benchmark's measured FaultHound coverage
     #: (requires campaigns, so it is slower).
@@ -354,7 +350,6 @@ class ExperimentContext:
             warmup_commits=cfg.warmup_commits,
             window_commits=cfg.window_commits,
             max_window_cycles=cfg.max_window_cycles,
-            batch_lanes=cfg.batch_lanes,
             metrics=self.metrics_registry)
 
     def campaign(self, benchmark: str) -> Tuple[Campaign, CampaignResult]:

@@ -114,15 +114,14 @@ def align_chunk_bounds(bounds: Sequence[Tuple[int, int]],
     """Snap chunk cuts so faults sharing an ``inject_at_commit`` (one
     run-window) never split across chunks.
 
-    A raw :func:`chunk_bounds` cut through the middle of a window both
-    wastes a checkpoint restore (two workers replay the same golden
-    window) and would split a lane batch, so every producer of window
-    chunks runs its bounds through this. Each interior cut is snapped
-    *down* to the start of the window it lands in; cuts that collapse
-    onto each other drop the resulting empty chunk. Bounds may cover
-    several non-contiguous runs (the supervisor's gap list) — cuts only
-    move within their own run, so covered/quarantined windows between
-    runs are never re-entered. Plans with all-distinct injection points
+    A raw :func:`chunk_bounds` cut through the middle of a window would
+    restore it twice (two workers replay the same golden window), so
+    every producer of window chunks runs its bounds through this. Each
+    interior cut is snapped *down* to the start of the window it lands
+    in; cuts that collapse onto each other drop the resulting empty
+    chunk. Bounds may cover several non-contiguous runs (the
+    supervisor's gap list) — cuts only move within their own run, so
+    covered/quarantined windows between runs are never re-entered. Plans with all-distinct injection points
     (every evenly spaced campaign) pass through unchanged, keeping chunk
     identities — cache keys, journal chunk keys — stable.
     """

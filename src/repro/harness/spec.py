@@ -61,7 +61,6 @@ TASK_DEFAULTS: Dict[str, Any] = {
     "scheme": "faulthound",
     "faults": 60,
     "seed": 3,
-    "batch_lanes": 1,
     "jobs": None,
     "no_cache": False,
     "max_retries": 3,
@@ -124,13 +123,11 @@ def validate_task(task: Dict[str, Any], where: str = "task") -> List[str]:
     if not isinstance(scheme, str) or scheme not in schemes:
         errors.append(f"{where}: scheme {scheme!r} not in "
                       f"{sorted(schemes)}")
-    for field, minimum in (("faults", 1), ("batch_lanes", 1),
-                           ("chunk_windows", 1), ("max_retries", 0)):
+    for field, minimum in (("faults", 1), ("chunk_windows", 1),
+                           ("max_retries", 0)):
         value = task.get(field, TASK_DEFAULTS[field])
         if not isinstance(value, int) or isinstance(value, bool) \
                 or value < minimum:
-            # batch_lanes shares the CLI's bound: K < 1 is an error, not
-            # a silent clamp to the scalar path
             errors.append(f"{where}: {field} must be an integer "
                           f">= {minimum} (got {value!r})")
     seed = task.get("seed", TASK_DEFAULTS["seed"])
@@ -356,7 +353,6 @@ def task_argv(task: Dict[str, Any],
             "--scheme", str(task["scheme"]),
             "--faults", str(task["faults"]),
             "--seed", str(task["seed"]),
-            "--batch-lanes", str(task.get("batch_lanes", 1)),
             "--max-retries", str(task.get("max_retries", 3)),
             "--chunk-windows", str(task.get("chunk_windows", 8))]
     if task.get("jobs") is not None:

@@ -58,17 +58,7 @@ class CoreCheckpoint:
         """Serialize *core* as of now. The core is not disturbed —
         pickling reads but never mutates it, so the dispatcher keeps
         advancing the same golden core after each capture.
-
-        The batched tandem engine arms unpicklable write-watch shadows
-        on the golden core *inside* a window and always disarms them
-        before the window ends; captures happen strictly between
-        windows, and the guard below turns any violation into a clear
-        error instead of a baffling pickle failure. (The core's lazily
-        built SoA mirror is dropped by ``__getstate__`` and rebuilt on
-        demand after restore.)
         """
-        from ..faults.batched import assert_unwatched
-        assert_unwatched(core)
         blob = pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)
         return cls(blob, window_index, resume_at_commit,
                    core.cycle, core.stats.committed)

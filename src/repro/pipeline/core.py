@@ -176,10 +176,6 @@ class PipelineCore:
         self.fast_forward = True
         #: Cycles jumped over by :meth:`elide_idle_cycles` (diagnostic).
         self.cycles_elided = 0
-        #: Lazily built SoA mirror of fault-reachable state (see
-        #: :meth:`soa_view`); never cloned or pickled — each core
-        #: rebuilds its own on first use.
-        self._soa_view = None
         self.stats.bind_cycle_source(self)
 
     # ------------------------------------------------------------------
@@ -406,45 +402,20 @@ class PipelineCore:
         twin._sanitize_every = 1
         twin.fast_forward = self.fast_forward
         twin.cycles_elided = self.cycles_elided
-        twin._soa_view = None    # mirrors are per-core, rebuilt lazily
         twin._thread_orders = twin._build_thread_orders()
         twin.stats.bind_cycle_source(twin)
         return twin
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        # The SoA view holds numpy mirrors plus a back-reference to this
-        # core; it is rebuilt lazily on demand, so checkpoints never
-        # carry it. (An instance-level ``step`` shadow — an armed
-        # periodic sanitizer — stays: restored checkpoints keep their
-        # sanitizer cadence by design.)
-        state.pop("_soa_view", None)
-        return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         # cores pickled before fast-forward existed restore with defaults
         self.__dict__.setdefault("fast_forward", True)
         self.__dict__.setdefault("cycles_elided", 0)
-        self.__dict__.setdefault("_soa_view", None)
         if "_thread_orders" not in self.__dict__:
             self._thread_orders = self._build_thread_orders()
         stats = self.__dict__.get("stats")
         if stats is not None:
             stats.bind_cycle_source(self)
-
-    def soa_view(self):
-        """This core's structure-of-arrays state mirror
-        (:class:`repro.faults.batched.CoreSoAView`), built lazily on
-        first use and cached — the batched tandem engine's divergence
-        probe refreshes it at most once per cycle. Imported lazily:
-        repro.faults.batched imports the classifier, which imports this
-        module."""
-        view = self._soa_view
-        if view is None:
-            from ..faults.batched import CoreSoAView
-            view = self._soa_view = CoreSoAView(self)
-        return view
 
     # ------------------------------------------------------------------
     # event-skip fast-forward

@@ -107,15 +107,13 @@ def test_parser_has_no_job_server(capsys, argv):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_campaign_rejects_batch_lanes_below_one(capsys):
-    """Regression: K < 1 used to be silently clamped to the scalar
-    path; now the parser rejects it outright."""
-    for bad in ("0", "-2"):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["campaign", "mcf",
-                                       "--batch-lanes", bad])
-        assert excinfo.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+def test_campaign_rejects_retired_lane_flag(capsys):
+    """Faults run one clone per window; there is no lane-batch flag,
+    so the parser rejects it like any unknown argument."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", "mcf", "--batch-lanes", "8"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -151,14 +149,13 @@ def test_parser_accepts_execution_bounds():
 
 @pytest.mark.parametrize("field, value", [
     ("jobs", 0), ("chunk_windows", 0), ("max_retries", -1),
-    ("chunk_timeout", -5), ("batch_lanes", 0), ("faults", 0),
-    ("seed", "3")])
+    ("chunk_timeout", -5), ("faults", 0), ("seed", "3")])
 def test_resume_rejects_bad_saved_execution_values(tmp_path, capsys,
                                                    field, value):
     saved = {"command": "campaign", "name": "mcf", "scheme": "faulthound",
-             "faults": 2, "seed": 3, "jobs": 1, "batch_lanes": 1,
-             "no_cache": True, "max_retries": 3, "chunk_timeout": None,
-             "chunk_windows": 8, field: value}
+             "faults": 2, "seed": 3, "jobs": 1, "no_cache": True,
+             "max_retries": 3, "chunk_timeout": None, "chunk_windows": 8,
+             field: value}
     (tmp_path / "campaign.json").write_text(json.dumps(saved))
     code, out, err = run_cli(capsys, "resume", str(tmp_path))
     assert code == 1
@@ -304,6 +301,28 @@ def test_supervised_campaign_cli_roundtrip(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "resume", str(run_dir))
     assert code == 0
     assert out == first
+
+
+def test_resume_ignores_retired_field_in_saved_run_dir(tmp_path, capsys,
+                                                      monkeypatch):
+    """Run dirs saved by older versions carry a lane-batch width in
+    campaign.json; resume ignores it and reproduces the equivalent
+    campaign's stdout."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    code, expected, _ = run_cli(capsys, "campaign", "mcf", "--faults", "4",
+                                "--seed", "3", "--jobs", "1", "--no-cache",
+                                "--run-dir", str(tmp_path / "fresh"))
+    assert code == 0
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "campaign.json").write_text(json.dumps({
+        "batch_lanes": 8, "chunk_timeout": None, "chunk_windows": 8,
+        "command": "campaign", "faults": 4, "jobs": 1, "max_retries": 3,
+        "name": "mcf", "no_cache": True, "scheme": "faulthound",
+        "seed": 3}, indent=2, sort_keys=True))
+    code, out, _ = run_cli(capsys, "resume", str(old))
+    assert code == 0
+    assert out == expected
 
 
 def test_run_dir_defaults_event_log_into_it(tmp_path, capsys,

@@ -12,15 +12,19 @@ exists exactly so these tests can run both paths.
 
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import FaultHoundUnit
+from repro.core.screening import NullScreeningUnit, ScreeningUnit
 from repro.faults import Campaign, FaultClass
 from repro.harness.diff import run_corpus
+from repro.harness.experiment import SCHEMES
 from repro.pipeline import PipelineCore
 from repro.pipeline.checkpoint import CoreCheckpoint, capture_checkpoint
 from repro.pipeline.debugger import PipelineDebugger
+from repro.pipeline.issue_queue import DelayBuffer
 from repro.pipeline.stats import PipelineStats
 from repro.workloads import PROFILES, build_smt_programs
 
@@ -242,6 +246,38 @@ def test_differential_corpus_periodic_sanitizer(monkeypatch):
     fast = _corpus_digest(sanitize=True, sanitize_every=5)
     _disable_globally(monkeypatch)
     assert fast == _corpus_digest(sanitize=True, sanitize_every=5)
+
+
+# ----------------------------------------------------------------------
+# next_event_cycle contract (event-skip soundness)
+# ----------------------------------------------------------------------
+class TestNextEventCycleContract:
+    """Event-skip jumps to the earliest cycle any structure declares
+    through ``next_event_cycle``; a unit that acted 'unprompted' between
+    commits without declaring it would be jumped over. Every in-tree
+    screening unit and the delay buffer declare themselves event-free;
+    the equivalence runs above then confirm the composed fast path
+    agrees with cycle-by-cycle stepping."""
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_unit_event_free(self, scheme):
+        unit = SCHEMES[scheme]()
+        for now in (0, 1, 999, 60_000):
+            assert unit.next_event_cycle(now) is None
+
+    def test_base_class_contract(self):
+        assert ScreeningUnit.next_event_cycle(NullScreeningUnit(), 5) is None
+
+    def test_delay_buffer_declares_no_autonomous_events(self):
+        buffer = DelayBuffer(capacity=2)
+        assert buffer.next_event_cycle(0) is None
+        # still None while occupied: aging is driven by completions and
+        # evictions by dispatches, never by the passage of cycles
+        buffer.push(SimpleNamespace(in_delay_buffer=False, uid=1))
+        buffer.push(SimpleNamespace(in_delay_buffer=False, uid=2))
+        assert len(buffer) == 2
+        for now in (1, 10, 10_000):
+            assert buffer.next_event_cycle(now) is None
 
 
 # ----------------------------------------------------------------------

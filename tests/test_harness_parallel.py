@@ -12,7 +12,8 @@ import pytest
 from repro.harness import cache as cache_module
 from repro.harness.cache import ArtifactCache, code_version_salt
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
-from repro.harness.parallel import chunk_bounds
+from repro.faults.model import FaultRecord, FaultSite
+from repro.harness.parallel import align_chunk_bounds, chunk_bounds
 
 _TINY = ExperimentConfig(benchmarks=("mcf",), dynamic_target=3_000,
                          num_faults=10, warmup_commits=200,
@@ -139,6 +140,59 @@ class TestClassifierContract:
         backwards = list(reversed(campaign.records))
         with pytest.raises(ValueError, match="never rewinds"):
             classifier.run(backwards)
+
+
+# ----------------------------------------------------------------------
+# chunk alignment: windows never split
+# ----------------------------------------------------------------------
+def _plan(commits):
+    return [FaultRecord(index=i, site=FaultSite.REGFILE,
+                        inject_at_commit=commit, bit=0, reg=1)
+            for i, commit in enumerate(commits)]
+
+
+class TestAlignChunkBounds:
+    def test_empty_bounds(self):
+        assert align_chunk_bounds([], []) == []
+
+    def test_distinct_plans_pass_through_unchanged(self):
+        records = _plan([10, 20, 30, 40, 50, 60, 70])
+        bounds = chunk_bounds(len(records), 3)
+        assert align_chunk_bounds(bounds, records) == bounds
+
+    def test_cut_inside_window_snaps_down(self):
+        records = _plan([10, 20, 20, 30])
+        assert align_chunk_bounds([(0, 2), (2, 4)], records) \
+            == [(0, 1), (1, 4)]
+
+    def test_cut_on_window_start_stays_put(self):
+        records = _plan([10, 10, 20, 20, 30])
+        bounds = [(0, 2), (2, 4), (4, 5)]
+        assert align_chunk_bounds(bounds, records) == bounds
+
+    def test_collapsed_cut_drops_empty_chunk(self):
+        records = _plan([10, 10, 10, 20])
+        assert align_chunk_bounds([(0, 2), (2, 4)], records) == [(0, 4)]
+
+    def test_cuts_only_move_within_their_run(self):
+        # Non-contiguous runs (the supervisor's gap list): the cut at 7
+        # snaps inside its own run; the gap [3, 5) is never re-entered.
+        records = _plan([10, 20, 30, 40, 50, 60, 70, 70, 80])
+        got = align_chunk_bounds([(0, 1), (1, 3), (5, 7), (7, 9)],
+                                 records)
+        assert got == [(0, 1), (1, 3), (5, 6), (6, 9)]
+
+    def test_coverage_is_preserved(self):
+        records = _plan([10, 10, 20, 20, 20, 30, 40, 40])
+        bounds = chunk_bounds(len(records), 4)
+        aligned = align_chunk_bounds(bounds, records)
+        indices = [i for lo, hi in aligned for i in range(lo, hi)]
+        assert indices == list(range(len(records)))
+        for lo, hi in aligned:
+            assert lo < hi
+            if lo > 0:      # no window straddles a chunk edge
+                assert (records[lo].inject_at_commit
+                        != records[lo - 1].inject_at_commit)
 
 
 # ----------------------------------------------------------------------

@@ -248,17 +248,3 @@ class TestClassifierIntegration:
         classifier.run([], golden=golden)
         assert golden._sanitizer is not None
         assert "step" not in golden.__dict__  # capture-site mode only
-
-    def test_classifier_sanitize_opt_out(self):
-        from repro.faults.classifier import TandemClassifier
-        from repro.faults.injector import FaultInjector
-
-        classifier = TandemClassifier(
-            core_factory=lambda: PipelineCore(
-                [random_program(random.Random(3))]),
-            injector=FaultInjector(seed=1, num_phys_regs=64, num_threads=1),
-            window_commits=20,
-            sanitize=False)
-        golden = classifier.core_factory()
-        classifier.run([], golden=golden)
-        assert golden._sanitizer is None

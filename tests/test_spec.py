@@ -101,14 +101,6 @@ class TestValidation:
             compile_spec(_src(defaults={"benchmark": "mcf",
                                         "scheme": "nonesuch"}))
 
-    def test_batch_lanes_below_one_rejected_like_the_cli(self):
-        # the compiler enforces the same bound `--batch-lanes` does:
-        # K < 1 is an error, never a silent clamp to the scalar path
-        for bad in (0, -1):
-            with pytest.raises(SpecError, match="batch_lanes"):
-                compile_spec(_src(defaults={"benchmark": "mcf",
-                                            "batch_lanes": bad}))
-
     def test_numeric_bounds(self):
         with pytest.raises(SpecError, match="faults"):
             compile_spec(_src(defaults={"benchmark": "mcf", "faults": 0}))
@@ -127,6 +119,11 @@ class TestValidation:
             compile_spec(_src(sweep={"bogus": [1]}))
         with pytest.raises(SpecError, match="bogus"):
             compile_spec(_src(tasks=[{"bogus": 1}]))
+        # a retired knob is just another unknown field
+        with pytest.raises(SpecError,
+                           match="unknown task field 'batch_lanes'"):
+            compile_spec(_src(tasks=[{"benchmark": "mcf",
+                                      "batch_lanes": 4}]))
 
     def test_wrong_kind_and_version_rejected(self):
         with pytest.raises(SpecError, match="kind"):
@@ -147,12 +144,11 @@ class TestValidation:
 class TestTaskArgv:
     def test_every_knob_is_explicit(self):
         run = compile_spec(_src(defaults={
-            "benchmark": "mcf", "faults": 5, "batch_lanes": 2,
+            "benchmark": "mcf", "faults": 5,
             "no_cache": True, "chunk_timeout": 2.5, "jobs": 3}))
         argv = task_argv(run["tasks"][0], run_dir="/r")
         text = " ".join(argv)
         assert argv[0] == "campaign" and argv[1] == "mcf"
-        assert "--batch-lanes 2" in text
         assert "--jobs 3" in text
         assert "--no-cache" in text
         assert "--chunk-timeout 2.5" in text

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
-
-import numpy as np
+from typing import Dict, Tuple
 
 from ..config import VALUE_MASK
 from ..errors import MemoryFault
@@ -17,12 +15,23 @@ class MainMemory:
     Unwritten words read as zero. All accesses must be 8-byte aligned and
     inside the valid segment; violations raise
     :class:`~repro.errors.MemoryFault` (the classifier's "noisy" channel).
+
+    Invariant: ``_words`` never holds a zero value, so a written-then-
+    zeroed word and a never-written one are the same state, and two
+    memories hold the same contents exactly when their ``image()`` dicts
+    compare equal.
     """
 
     def __init__(self, latency: int = 200,
                  image: Dict[int, int] | None = None):
         self.latency = latency
-        self._words: Dict[int, int] = dict(image) if image else {}
+        self._words: Dict[int, int] = (
+            {a: v for a, v in image.items() if v} if image else {})
+
+    def __setstate__(self, state: dict) -> None:
+        # pickles from before the invariant may hold zero words
+        self.__dict__.update(state)
+        self._words = {a: v for a, v in self._words.items() if v}
 
     def read(self, address: int) -> int:
         if not check_address(address):
@@ -32,41 +41,27 @@ class MainMemory:
     def write(self, address: int, value: int) -> None:
         if not check_address(address):
             raise MemoryFault(address)
-        self._words[address] = value & VALUE_MASK
-
-    def load_image(self, image: Dict[int, int]) -> None:
-        """Bulk-install an initial memory image (e.g. from a Program)."""
-        for address, value in image.items():
-            self.write(address, value)
-
-    def items(self) -> Iterable[Tuple[int, int]]:
-        return self._words.items()
+        value &= VALUE_MASK
+        if value:
+            self._words[address] = value
+        else:
+            self._words.pop(address, None)
 
     def clone(self) -> "MainMemory":
         """Independent copy for core forking (checkpoint protocol)."""
-        return MainMemory(self.latency, self._words)
+        twin = MainMemory.__new__(MainMemory)
+        twin.latency = self.latency
+        twin._words = dict(self._words)
+        return twin
+
+    def image(self) -> Dict[int, int]:
+        """A copy of every non-zero word, keyed by address: the output
+        image the fault classifier compares with ``==``."""
+        return dict(self._words)
 
     def nonzero_snapshot(self) -> Tuple[Tuple[int, int], ...]:
-        """Sorted (address, value) pairs for all non-zero words.
-
-        Vectorised: the fault classifier snapshots every thread's memory
-        once per injection window on both tandem lanes, so a Python-level
-        ``sorted`` over the whole image dominated campaign profiles. A
-        numpy key sort produces the identical tuple (addresses are unique
-        dict keys, so sorting by address alone equals sorting the pairs;
-        ``tolist`` restores Python ints) at a fraction of the cost.
-        """
-        words = self._words
-        if not words:
-            return ()
-        n = len(words)
-        addrs = np.fromiter(words.keys(), dtype=np.int64, count=n)
-        vals = np.fromiter(words.values(), dtype=np.uint64, count=n)
-        keep = vals != 0
-        if not keep.all():
-            addrs, vals = addrs[keep], vals[keep]
-        order = np.argsort(addrs)
-        return tuple(zip(addrs[order].tolist(), vals[order].tolist()))
+        """Sorted (address, value) pairs for all non-zero words."""
+        return tuple(sorted(self._words.items()))
 
     def __len__(self) -> int:
         return len(self._words)

@@ -672,7 +672,7 @@ class PipelineCore:
             step()
 
     def arch_snapshot(self) -> Tuple:
-        """Digest of every thread's architectural state (classifier input)."""
+        """Digest of every thread's architectural state, registers too."""
         return tuple(t.arch_state_snapshot(self.prf) for t in self.threads)
 
     # ------------------------------------------------------------------
@@ -840,8 +840,9 @@ class PipelineCore:
 
     @property
     def all_snapshots_captured(self) -> bool:
-        return all(tid in self.captured_snapshots
-                   for tid in self.snapshot_targets)
+        """Every armed thread has its snapshot. A length compare: only
+        target thread ids are ever keys of ``captured_snapshots``."""
+        return len(self.captured_snapshots) >= len(self.snapshot_targets)
 
     def set_snapshot_targets(self, targets: Dict[int, int]) -> None:
         """Arm per-thread snapshot capture at the given committed counts.

@@ -112,9 +112,11 @@ class ThreadContext:
         a flipped bit in a register the program never reads again is not
         silent data corruption — it can never reach the program's output.
         Register corruption that matters shows up here through the store
-        stream (or as control-flow divergence via ``arch_pc``).
+        stream (or as control-flow divergence via ``arch_pc``). The
+        image is the dict of non-zero words, so ``==`` on two snapshots
+        is exact.
         """
-        return (self.memory.nonzero_snapshot(), self.arch_pc, self.halted)
+        return (self.memory.image(), self.arch_pc, self.halted)
 
     @property
     def fetch_active(self) -> bool:

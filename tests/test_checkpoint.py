@@ -174,6 +174,22 @@ class TestCoreCheckpoint:
             restored.step()
         assert _signature(restored) == _signature(core)
 
+    def test_zero_memory_word_restores_and_steps_identically(self):
+        # cores pickled before memory dropped zero words could hold one
+        core = _warm_core()
+        old = core.clone()
+        words = old.threads[0].memory._words
+        address = next(a for a in range(0, 1 << 20, 8) if a not in words)
+        words[address] = 0
+        restored = CoreCheckpoint.capture(old).restore()
+        assert address not in restored.threads[0].memory._words
+        assert (restored.threads[0].output_snapshot()
+                == core.threads[0].output_snapshot())
+        for _ in range(1_500):
+            core.step()
+            restored.step()
+        assert _signature(restored) == _signature(core)
+
     def test_module_level_mirrors(self):
         core = _warm_core()
         checkpoint = capture_checkpoint(core, window_index=1)

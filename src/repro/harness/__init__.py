@@ -12,7 +12,7 @@ from .spec import (SpecError, compile_file, compile_spec, load_run,
 from .supervisor import (CampaignAborted, CampaignJournal, EXIT_ABORTED,
                          EXIT_COMPLETE, EXIT_QUARANTINE, PhaseReport,
                          QuarantineRecord, Supervisor, SupervisorPolicy,
-                         read_poisoned, summarize_run_dir)
+                         summarize_run_dir)
 from . import figures
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "lockstep_diff",
     "load_run",
     "load_spec",
-    "read_poisoned",
     "run_case",
     "run_corpus",
     "scheme_unit",

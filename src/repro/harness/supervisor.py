@@ -21,9 +21,9 @@ protection:
   deadline is cancelled (the pool is torn down) and retried with an
   escalated deadline;
 - **poison-window quarantine** — a chunk that fails deterministically
-  is bisected down to the offending window(s), which are quarantined
-  into ``<run-dir>/poisoned.jsonl`` (config digest, window coordinates,
-  traceback) while the rest of the campaign completes;
+  is bisected down to the offending window(s), which are journaled as
+  ``quarantine`` records (config digest, window coordinates, traceback)
+  while the rest of the campaign completes;
 - **crash-safe journal + resume** — completed chunks are appended to a
   fsync'd JSONL journal keyed by the same content-addressed digests the
   artifact cache uses, with the chunk results pickled under
@@ -196,9 +196,6 @@ class SupervisorPolicy:
     pool_break_limit: int = 3
     #: Seconds to wait for in-flight chunks during a graceful drain.
     drain_grace: float = 30.0
-    #: Seconds between ``heartbeat`` events while a fan-out is in
-    #: flight (worker health for ``repro top``); <= 0 disables them.
-    heartbeat_interval: float = 5.0
     #: Run a phase that plans a single chunk in-process even at
     #: ``jobs > 1``: no fork and no checkpoint pass, but also no
     #: watchdog and no crash isolation for that chunk. Off by default,
@@ -245,10 +242,6 @@ class PhaseReport:
     downshifts: int = 0
     chunks_run: int = 0
     chunks_resumed: int = 0
-    #: Live-progress coordinates behind the ``campaign_progress``
-    #: counter trail (windows_done starts at the resumed baseline).
-    windows_total: int = 0
-    windows_done: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +281,7 @@ class CampaignJournal:
     def read(run_dir: str | os.PathLike) -> List[Dict[str, Any]]:
         """Parsed journal records (``[]`` before the first append).
         Resume replay ignores a ``truncated_tail`` note (it only folds
-        ``chunk_done``/``quarantine``); ``repro report`` surfaces it so
+        ``chunk_done``/``quarantine``); ``repro status`` counts it so
         the interruption stays visible."""
         path = pathlib.Path(run_dir) / "journal.jsonl"
         return read_events(path) if path.exists() else []
@@ -402,7 +395,6 @@ class Supervisor:
         self.drain = False
         self._force_serial = False
         self._jitter_salt = 0
-        self._last_heartbeat = 0.0
 
     # -- lifecycle -----------------------------------------------------
     def bind(self, jobs: Optional[int] = None, events=None,
@@ -507,8 +499,6 @@ class Supervisor:
         done: Dict[int, Tuple[int, List[WindowResult]]] = {}
         quarantined: List[QuarantineRecord] = []
         self._load_journal_state(phase_ctx, done, quarantined, report)
-        report.windows_total = len(records)
-        report.windows_done = sum(hi - lo for lo, (hi, _) in done.items())
 
         gaps = self._gaps(len(records), done, quarantined)
         bounds = self._chunk_gaps(gaps, jobs, records)
@@ -523,9 +513,6 @@ class Supervisor:
                 "bounds": [list(b) for b in bounds],
                 "resumed_chunks": report.chunks_resumed,
                 "config_digest": phase_ctx.digest, "jobs": jobs})
-        # baseline progress sample: a resumed run's monitor restarts ETA
-        # estimation from the journal-adopted windows, not from zero
-        self._progress(phase_ctx, report)
 
         if bounds:
             chunks = deque(
@@ -783,9 +770,6 @@ class Supervisor:
             position = chunk.hi
             resume_commit = records[chunk.hi - 1].inject_at_commit
             self._complete(phase_ctx, chunk, windows, done, report)
-            self._maybe_heartbeat(phase_ctx, report, running=0,
-                                  pending=len(queue),
-                                  workers=[os.getpid()])
 
     # -- dispatch: pool ------------------------------------------------
     def _run_pool(self, phase_ctx: _Phase, chunks: "deque[_Chunk]",
@@ -925,12 +909,6 @@ class Supervisor:
                                                  wake - time.monotonic())))
                         continue
                     break
-                self._maybe_heartbeat(
-                    phase_ctx, report, running=len(running),
-                    pending=len(unready) + len(pending) + len(probe),
-                    workers=[proc.pid for proc in
-                             (getattr(pool, "_processes", None)
-                              or {}).values()] if pool is not None else ())
                 completed, _ = wait(list(running), timeout=poll,
                                     return_when=FIRST_COMPLETED)
                 crashed: List[_Chunk] = []
@@ -1105,40 +1083,11 @@ class Supervisor:
                          benchmark=phase_ctx.benchmark,
                          scheme=phase_ctx.label, **fields)
 
-    def _progress(self, phase_ctx: _Phase, report: PhaseReport) -> None:
-        """One ``campaign_progress`` counter sample (live ETA feed)."""
-        self.events.counter("campaign_progress", report.windows_done,
-                            phase=phase_ctx.phase,
-                            benchmark=phase_ctx.benchmark,
-                            scheme=phase_ctx.label,
-                            total=report.windows_total)
-
-    def _maybe_heartbeat(self, phase_ctx: _Phase, report: PhaseReport,
-                         running: int, pending: int,
-                         workers: Sequence[int] = ()) -> None:
-        """Rate-limited liveness beacon while a fan-out is in flight."""
-        interval = self.policy.heartbeat_interval
-        if interval <= 0 or not self.events.enabled:
-            return
-        now = time.monotonic()
-        if now - self._last_heartbeat < interval:
-            return
-        self._last_heartbeat = now
-        self.events.emit("heartbeat", phase=phase_ctx.phase,
-                         benchmark=phase_ctx.benchmark,
-                         scheme=phase_ctx.label, running=running,
-                         pending=pending, workers=list(workers),
-                         windows_done=report.windows_done,
-                         windows_total=report.windows_total)
-        self.metrics.gauge("supervisor_workers_alive").set(
-            len(workers) or running)
-
     def _complete(self, phase_ctx: _Phase, chunk: _Chunk,
                   windows: List[WindowResult], done,
                   report: PhaseReport) -> None:
         done[chunk.lo] = (chunk.hi, windows)
         report.chunks_run += 1
-        report.windows_done += chunk.windows
         self._emit("chunk_done", phase_ctx, lo=chunk.lo, hi=chunk.hi,
                    attempt=chunk.attempts, key=chunk.key)
         if self.journal is not None:
@@ -1147,7 +1096,6 @@ class Supervisor:
                 "type": "chunk_done", "phase": phase_ctx.phase,
                 "key": chunk.key, "lo": chunk.lo, "hi": chunk.hi,
                 "windows": len(windows), "attempt": chunk.attempts})
-        self._progress(phase_ctx, report)
         if self.metrics.enabled:
             self.metrics.counter("supervisor_chunks_done_total").inc()
             self.metrics.counter("supervisor_windows_done_total").inc(
@@ -1208,64 +1156,79 @@ class Supervisor:
         self.metrics.counter("supervisor_quarantined_total").inc()
         self._emit("quarantine", phase_ctx, lo=chunk.lo, hi=chunk.hi,
                    attempt=chunk.attempts, reason=quarantine.reason)
-        if self.run_dir is not None:
-            path = self.run_dir / "poisoned.jsonl"
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(quarantine.as_json(),
-                                        sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
         if self.journal is not None:
             self.journal.append(quarantine.as_json())
 
 
 # ----------------------------------------------------------------------
-# run-dir inspection (``repro report --run-dir`` / ``repro resume``)
+# run-dir progress (``repro status``)
 # ----------------------------------------------------------------------
-def read_poisoned(run_dir: str | os.PathLike) -> List[Dict[str, Any]]:
-    """Parsed ``poisoned.jsonl`` records (empty when none quarantined)."""
-    path = pathlib.Path(run_dir) / "poisoned.jsonl"
-    records: List[Dict[str, Any]] = []
-    if not path.exists():
-        return records
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return records
-
-
 def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
-    """Journal roll-up for one campaign run directory."""
+    """Fold a run directory's journal into its campaign progress.
+
+    The journal is the one progress record. Each ``plan`` opens (on
+    resume: reopens) the phase keyed by its (phase, benchmark, scheme),
+    and the ``chunk_done``, ``quarantine``, ``phase_done`` and ``drain``
+    records after it belong to that phase: a supervisor runs its phases
+    one at a time. Windows count by index, so a window that several
+    invocations journaled counts once. A phase with neither a
+    ``phase_done`` nor a ``drain`` is ``incomplete`` — still running or
+    killed; the journal cannot tell which.
+    """
     journal = CampaignJournal.read(run_dir)
     by_type: Dict[str, int] = {}
-    phases: Dict[str, Dict[str, Any]] = {}
+    phases: Dict[Tuple[str, str, str], Dict[str, Any]] = {}
+    slot: Optional[Dict[str, Any]] = None
     for entry in journal:
-        entry_type = entry.get("type", "?")
-        by_type[entry_type] = by_type.get(entry_type, 0) + 1
-        phase = entry.get("phase")
-        if phase is None:
+        kind = entry.get("type", "?")
+        by_type[kind] = by_type.get(kind, 0) + 1
+        if kind == "plan":
+            key = (str(entry.get("phase")), str(entry.get("benchmark")),
+                   str(entry.get("scheme")))
+            slot = phases.setdefault(key, {"windows": set(),
+                                           "chunks": set(),
+                                           "quarantined": {}})
+            slot["windows_total"] = int(entry.get("windows", 0))
+            slot["status"] = "incomplete"
+        elif slot is None:
             continue
-        slot = phases.setdefault(phase, {"chunks_done": 0, "windows": 0,
-                                         "status": "incomplete"})
-        if entry_type == "chunk_done":
-            slot["chunks_done"] += 1
-            slot["windows"] += int(entry.get("windows", 0))
-        elif entry_type == "phase_done":
-            slot["status"] = entry.get("status", "complete")
-    poisoned = read_poisoned(run_dir)
-    return {"run_dir": str(run_dir), "journal_records": len(journal),
-            "by_type": dict(sorted(by_type.items())), "phases": phases,
-            "poisoned": len(poisoned),
-            "poisoned_windows": [
-                {k: p.get(k) for k in ("phase", "index", "site", "bit",
-                                       "reason")}
-                for p in poisoned]}
+        elif kind == "chunk_done":
+            slot["windows"].update(range(int(entry["lo"]),
+                                         int(entry["hi"])))
+            slot["chunks"].add(entry.get("key"))
+        elif kind == "quarantine":
+            slot["quarantined"].setdefault(int(entry["index"]), entry)
+        elif kind == "phase_done":
+            slot["status"] = str(entry.get("status", "complete"))
+        elif kind == "drain":
+            slot["status"] = "aborted"
+    rows = [{"phase": phase, "benchmark": benchmark, "scheme": scheme,
+             "windows_total": slot["windows_total"],
+             "windows_done": len(slot["windows"]),
+             "chunks_done": len(slot["chunks"]),
+             "quarantined": len(slot["quarantined"]),
+             "status": slot["status"]}
+            for (phase, benchmark, scheme), slot in phases.items()]
+    quarantined = [{field: record.get(field) for field in
+                    ("phase", "benchmark", "scheme", "index", "site",
+                     "bit", "reason")}
+                   for slot in phases.values()
+                   for _, record in sorted(slot["quarantined"].items())]
+    statuses = {row["status"] for row in rows}
+    if "aborted" in statuses:
+        state = "aborted"
+    elif "incomplete" in statuses or not rows:
+        state = "incomplete"
+    elif quarantined:
+        state = "complete-with-quarantine"
+    else:
+        state = "complete"
+    return {"run_dir": str(run_dir), "state": state,
+            "by_type": dict(sorted(by_type.items())),
+            "windows_total": sum(r["windows_total"] for r in rows),
+            "windows_done": sum(r["windows_done"] for r in rows),
+            "quarantined": len(quarantined),
+            "phases": rows, "quarantined_windows": quarantined}
 
 
 __all__ = [
@@ -1282,7 +1245,6 @@ __all__ = [
     "Supervisor",
     "SupervisorPolicy",
     "chaos_probe",
-    "read_poisoned",
     "summarize_run_dir",
     "supervised_chunk_task",
 ]

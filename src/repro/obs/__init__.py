@@ -1,18 +1,20 @@
-"""Structured observability: tracing, manifests, audit, live telemetry.
+"""Structured observability: tracing, metrics, manifests, audit.
 
-The subsystem has five legs (see docs/observability.md):
+The subsystem has four legs (see docs/observability.md):
 
-- :mod:`repro.obs.events` — typed JSONL event log with nested spans,
-  safe to feed from process-pool workers;
+- :mod:`repro.obs.events` + :mod:`repro.obs.metrics` — typed JSONL
+  event log with nested spans, safe to feed from process-pool workers,
+  and the typed metrics registry threaded through the harness, whose
+  snapshots ride that log as ``metrics`` events;
 - :mod:`repro.obs.manifest` — provenance manifests written next to
   every cached artefact and figure;
 - :mod:`repro.obs.audit` — one record per injected fault plus the
   recovery-mix and detection-latency aggregates;
-- :mod:`repro.obs.profile` — opt-in cProfile and per-stage accounting;
-- :mod:`repro.obs.metrics` + :mod:`repro.obs.stream` — live campaign
-  telemetry: a typed metrics registry threaded through the harness and
-  a streaming monitor that tails a running campaign's logs into a
-  :class:`~repro.obs.stream.CampaignStatus` snapshot (``repro top``).
+- :mod:`repro.obs.profile` — opt-in cProfile and per-stage accounting.
+
+Campaign progress is not an obs leg: the supervisor's journal is its
+one record, folded by ``repro status``
+(:func:`repro.harness.supervisor.summarize_run_dir`).
 """
 
 from .audit import (FaultAuditRecord, aggregates_from_events,
@@ -30,24 +32,18 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from .profile import format_stage_seconds, profiled
 from .schema import check_spans, summarize_events, validate_event, \
     validate_events
-from .stream import (CampaignMonitor, CampaignStatus, JsonlFollower,
-                     PhaseProgress, render_status)
 
 __all__ = [
-    "CampaignMonitor",
-    "CampaignStatus",
     "Counter",
     "EventLog",
     "FaultAuditRecord",
     "Gauge",
     "Histogram",
-    "JsonlFollower",
     "MetricsRegistry",
     "NULL_LOG",
     "NULL_METRICS",
     "NullEventLog",
     "NullMetricsRegistry",
-    "PhaseProgress",
     "RunManifest",
     "WORKER_DIR_ENV",
     "aggregates_from_events",
@@ -64,7 +60,6 @@ __all__ = [
     "profiled",
     "read_events",
     "recovery_mix",
-    "render_status",
     "snapshot_from_events",
     "summarize_events",
     "to_prometheus",

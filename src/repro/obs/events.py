@@ -3,9 +3,9 @@
 One :class:`EventLog` belongs to one run (one CLI invocation or one
 benchmark session) and appends one JSON object per line to a single
 file. Events are *typed* — ``span_start``/``span_end`` pairs around
-every harness phase, ``counter`` samples, ``cache`` hit/miss records,
-worker lifecycle markers and one ``fault_audit`` record per injected
-fault — so the log is machine-readable after the run ends
+every harness phase, ``cache`` hit/miss records, worker lifecycle
+markers, ``metrics`` snapshots and one ``fault_audit`` record per
+injected fault — so the log is machine-readable after the run ends
 (``repro report --events`` validates and summarises it; the field
 contract lives in :mod:`repro.obs.schema`).
 
@@ -73,9 +73,6 @@ class NullEventLog:
     path = None
 
     def emit(self, event_type: str, **fields: Any) -> None:
-        pass
-
-    def counter(self, name: str, value: float, **attrs: Any) -> None:
         pass
 
     def cache_event(self, kind: str, key: str, hit: bool) -> None:
@@ -157,9 +154,6 @@ class EventLog:
         record.update(fields)
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
-
-    def counter(self, name: str, value: float, **attrs: Any) -> None:
-        self.emit("counter", name=name, value=value, attrs=attrs)
 
     def cache_event(self, kind: str, key: str, hit: bool) -> None:
         self.emit("cache", kind=kind, key=key, hit=bool(hit))

@@ -29,6 +29,7 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     "run_end": {"run": (str,)},
     "span_start": {"span": (str,), "name": (str,), "attrs": (dict,)},
     "span_end": {"span": (str,), "name": (str,), "seconds": _NUMBER},
+    # no longer written; kept so logs from before their removal validate
     "counter": {"name": (str,), "value": _NUMBER},
     "cache": {"kind": (str,), "key": (str,), "hit": (bool,)},
     "checkpoint": {"action": (str,), "window": (int,)},
@@ -53,9 +54,9 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     "orphan_spool": {"files": (int,)},
     # one folded metrics-registry snapshot (session close / worker drain)
     "metrics": {"snapshot": (dict,)},
-    # periodic supervisor liveness beacon while a fan-out is in flight
+    # no longer written; kept so logs from before their removal validate
     "heartbeat": {"phase": (str,), "running": (int,), "pending": (int,)},
-    # synthesized by read_events/the follower for a torn final JSONL line
+    # synthesized by read_events for a torn final JSONL line
     "truncated_tail": {"line": (int,), "bytes": (int,)},
 }
 

@@ -276,14 +276,28 @@ def test_resume_requires_campaign_manifest(tmp_path, capsys):
     assert "campaign.json" in err
 
 
-def test_report_run_dir_requires_journal(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "report", "--run-dir", str(tmp_path))
+def test_status_requires_journal(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "status", str(tmp_path))
     assert code == 1
     assert "journal.jsonl" in err
 
 
+def _status(capsys, run_dir):
+    code, out, _ = run_cli(capsys, "status", str(run_dir))
+    assert code == 0
+    return json.loads(out)
+
+
+def _assert_phases_settled(summary):
+    assert summary["phases"]
+    for phase in summary["phases"]:
+        assert (phase["windows_done"] + phase["quarantined"]
+                == phase["windows_total"]), phase
+        assert phase["status"] == "complete", phase
+
+
 def test_supervised_campaign_cli_roundtrip(tmp_path, capsys, monkeypatch):
-    """campaign --run-dir → report --run-dir → resume is a no-op."""
+    """campaign --run-dir → status → resume is a no-op."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_dir = tmp_path / "run"
     code, out, err = run_cli(capsys, "campaign", "mcf", "--faults", "6",
@@ -292,15 +306,76 @@ def test_supervised_campaign_cli_roundtrip(tmp_path, capsys, monkeypatch):
     assert (run_dir / "journal.jsonl").exists()
     assert (run_dir / "campaign.json").exists()
     first = out
-    code, out, _ = run_cli(capsys, "report", "--run-dir", str(run_dir))
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["poisoned"] == 0
+    summary = _status(capsys, run_dir)
+    assert summary["state"] == "complete"
+    assert summary["quarantined"] == 0
+    assert summary["quarantined_windows"] == []
     assert summary["by_type"].get("phase_done", 0) >= 1
+    _assert_phases_settled(summary)
+    characterize = summary["phases"][0]
+    assert (characterize["phase"], characterize["benchmark"],
+            characterize["scheme"]) == ("characterize", "mcf", "baseline")
+    assert characterize["windows_total"] == 6
     # resuming a completed run recomputes nothing and prints the same
     code, out, _ = run_cli(capsys, "resume", str(run_dir))
     assert code == 0
     assert out == first
+    assert _status(capsys, run_dir)["phases"] == summary["phases"]
+
+
+def test_status_counts_resumed_windows_once(tmp_path, capsys,
+                                            monkeypatch):
+    """A journal cut after its first chunk_done resumes; every window
+    the two invocations journaled counts once."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    run_dir = tmp_path / "run"
+    code, first, _ = run_cli(capsys, "campaign", "mcf", "--faults", "6",
+                             "--jobs", "1", "--chunk-windows", "2",
+                             "--no-cache", "--run-dir", str(run_dir))
+    assert code == 0
+    finished = _status(capsys, run_dir)
+    journal = run_dir / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    cut = next(i for i, line in enumerate(lines)
+               if json.loads(line)["type"] == "chunk_done")
+    journal.write_text("".join(lines[:cut + 1]))
+    assert _status(capsys, run_dir)["state"] == "incomplete"
+    code, out, _ = run_cli(capsys, "resume", str(run_dir))
+    assert code == 0
+    assert out == first
+    summary = _status(capsys, run_dir)
+    assert summary["state"] == "complete"
+    assert summary["by_type"]["resume"] == 1
+    _assert_phases_settled(summary)
+    counts = [(p["phase"], p["windows_total"], p["windows_done"])
+              for p in summary["phases"]]
+    assert counts == [(p["phase"], p["windows_total"], p["windows_done"])
+                      for p in finished["phases"]]
+
+
+def test_status_notes_torn_journal_tail(tmp_path, capsys):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(
+        json.dumps({"type": "plan", "phase": "characterize",
+                    "benchmark": "mcf", "scheme": "baseline",
+                    "windows": 4}) + "\n"
+        + json.dumps({"type": "chunk_done", "phase": "characterize",
+                      "key": "k", "lo": 0, "hi": 2, "windows": 2,
+                      "attempt": 1}) + "\n"
+        + '{"type": "chunk_done", "phase": "charac')
+    summary = _status(capsys, tmp_path)
+    assert summary["by_type"]["truncated_tail"] == 1
+    assert summary["state"] == "incomplete"
+    assert [(p["windows_done"], p["windows_total"], p["status"])
+            for p in summary["phases"]] == [(2, 4, "incomplete")]
+
+
+def test_status_rejects_corrupt_journal(tmp_path, capsys):
+    (tmp_path / "journal.jsonl").write_text(
+        'not json\n{"type": "plan"}\n')
+    code, _, err = run_cli(capsys, "status", str(tmp_path))
+    assert code == 1
+    assert "journal.jsonl:1" in err
 
 
 def test_resume_ignores_retired_field_in_saved_run_dir(tmp_path, capsys,
@@ -328,8 +403,7 @@ def test_resume_ignores_retired_field_in_saved_run_dir(tmp_path, capsys,
 def test_run_dir_defaults_event_log_into_it(tmp_path, capsys,
                                             monkeypatch):
     """A journaled campaign gets events.jsonl in the run dir by default
-    (announced on stderr, stdout untouched) so the monitor surfaces
-    have something to tail."""
+    (announced on stderr, stdout untouched) as its audit trail."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, "campaign", "mcf", "--faults", "4",
@@ -348,18 +422,10 @@ def test_run_dir_defaults_event_log_into_it(tmp_path, capsys,
     assert summary["by_type"]["metrics"] >= 1
 
 
-def test_status_and_top_reject_missing_run_dir(tmp_path, capsys):
+def test_status_rejects_missing_run_dir(tmp_path, capsys):
     code, _, err = run_cli(capsys, "status", str(tmp_path / "nope"))
     assert code == 1
     assert "not a run directory" in err
-    code, _, err = run_cli(capsys, "top", str(tmp_path / "nope"), "--once")
-    assert code == 1
-
-
-def test_tail_rejects_missing_log(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "tail", str(tmp_path / "none.jsonl"))
-    assert code == 1
-    assert "not found" in err
 
 
 def test_metrics_export_from_plain_log(tmp_path, capsys):

@@ -26,7 +26,7 @@ _TINY = ExperimentConfig(benchmarks=("mcf",), dynamic_target=3_000,
 class TestEventLog:
     def test_run_envelope_and_close(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
-        log.counter("windows", 3, benchmark="mcf")
+        log.emit("cache", kind="fault_free", key="abc", hit=True)
         log.close()
         events = read_events(log.path)
         assert events[0]["type"] == "run_start"
@@ -57,7 +57,7 @@ class TestEventLog:
     def test_null_log_is_free_and_silent(self, tmp_path):
         assert NULL_LOG.enabled is False
         with NULL_LOG.span("anything", x=1):
-            NULL_LOG.counter("n", 1)
+            NULL_LOG.emit("cache", kind="fault_free", key="abc", hit=True)
             NULL_LOG.cache_event("fault_free", "abc", hit=True)
         assert NULL_LOG.worker_spool() is None
         assert NULL_LOG.absorb_worker_files() == 0
@@ -307,6 +307,34 @@ class TestTornTail:
         events = read_events(path)
         assert [e["type"] for e in events] == ["worker_start",
                                                "truncated_tail"]
+        assert validate_events(events) == []
+
+
+# ----------------------------------------------------------------------
+# logs written by older versions
+# ----------------------------------------------------------------------
+class TestLegacyEvents:
+    def test_counter_and_heartbeat_events_still_validate(self, tmp_path):
+        """Supervised campaigns once logged ``campaign_progress`` counter
+        samples and ``heartbeat`` beacons; those logs stay valid."""
+        path = tmp_path / "events.jsonl"
+        lines = [
+            {"ts": 1.0, "type": "run_start", "pid": 7, "run": "run-7-1",
+             "schema": 1},
+            {"ts": 1.1, "type": "counter", "pid": 7,
+             "name": "campaign_progress", "value": 3,
+             "attrs": {"phase": "characterize", "benchmark": "mcf",
+                       "scheme": "baseline", "total": 10}},
+            {"ts": 1.2, "type": "heartbeat", "pid": 7,
+             "phase": "characterize", "benchmark": "mcf",
+             "scheme": "baseline", "running": 2, "pending": 1,
+             "workers": [8, 9], "windows_done": 3, "windows_total": 10},
+            {"ts": 1.3, "type": "run_end", "pid": 7, "run": "run-7-1"},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        events = read_events(path)
+        assert [e["type"] for e in events] == [
+            "run_start", "counter", "heartbeat", "run_end"]
         assert validate_events(events) == []
 
 

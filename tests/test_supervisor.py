@@ -16,6 +16,7 @@ worker death would.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -26,8 +27,7 @@ import pytest
 
 from repro.faults import Campaign
 from repro.harness import (ExperimentConfig, ExperimentContext, Supervisor,
-                           SupervisorPolicy, read_poisoned,
-                           summarize_run_dir)
+                           SupervisorPolicy, summarize_run_dir)
 from repro.harness.parallel import CheckpointStats
 from repro.harness.supervisor import (CampaignAborted, CampaignJournal,
                                       EXIT_ABORTED, EXIT_QUARANTINE,
@@ -52,6 +52,26 @@ def serial_reference():
         "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
         characterization)
     return characterization, coverage
+
+
+def _assert_status_matches(run_dir, reports):
+    """``repro status``'s fold agrees with the supervisor's own reports,
+    phase for phase, and every phase is settled."""
+    summary = summarize_run_dir(run_dir)
+    planned = [r for r in reports if r.windows or r.quarantined]
+    rows = {(p["phase"], p["benchmark"], p["scheme"]): p
+            for p in summary["phases"]}
+    assert len(rows) == len(summary["phases"])
+    assert sorted(rows) == sorted((r.phase, r.benchmark, r.scheme)
+                                  for r in planned)
+    for report in planned:
+        row = rows[(report.phase, report.benchmark, report.scheme)]
+        assert row["windows_done"] == len(report.windows)
+        assert row["quarantined"] == len(report.quarantined)
+        assert (row["windows_done"] + row["quarantined"]
+                == row["windows_total"])
+        assert row["status"] == report.status
+    return summary
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +171,8 @@ class TestSupervisedEquivalence:
         types = [r["type"] for r in records]
         assert "plan" in types and "chunk_done" in types
         assert types.count("phase_done") == 2    # characterize + coverage
+        summary = _assert_status_matches(tmp_path / "run", sup.reports)
+        assert summary["state"] == "complete"
 
     def test_transient_crashes_retried_to_convergence(
             self, serial_reference, monkeypatch):
@@ -238,13 +260,15 @@ class TestQuarantine:
         assert characterization.characterization == expected
         assert characterization.quarantined == sup.quarantined
         assert characterization.throughput.quarantined == 1
-        # the quarantine is journalled and in poisoned.jsonl
-        poisoned = read_poisoned(run_dir)
-        assert len(poisoned) == 1 and poisoned[0]["index"] == 4
-        assert '"index": 4' in (run_dir / "poisoned.jsonl").read_text()
-        summary = summarize_run_dir(run_dir)
-        assert summary["poisoned"] == 1
-        assert summary["poisoned_windows"][0]["index"] == 4
+        # the quarantine is journalled, and the journal is its one record
+        assert not (run_dir / "poisoned.jsonl").exists()
+        summary = _assert_status_matches(run_dir, sup.reports)
+        assert summary["state"] == "complete-with-quarantine"
+        assert summary["quarantined"] == 1
+        window = summary["quarantined_windows"][0]
+        assert (window["phase"], window["benchmark"], window["scheme"],
+                window["index"], window["reason"]) \
+            == ("characterize", "mcf", "baseline", 4, "crash")
 
     def test_hung_window_times_out_and_quarantines(self, serial_reference,
                                                    monkeypatch, tmp_path):
@@ -748,6 +772,64 @@ class TestJournal:
         assert coverage.coverage_results == s_cov.coverage_results
         assert all(r.chunks_run == 0 for r in second.reports)
         assert sum(r.chunks_resumed for r in second.reports) > 0
+        _assert_status_matches(run_dir, second.reports)
+
+    def test_rerun_chunks_count_once(self, serial_reference, tmp_path):
+        """A resume whose chunk pickles are gone re-runs and re-journals
+        the same windows; the status fold still counts each once."""
+        s_char, _ = serial_reference
+        run_dir = tmp_path / "run"
+        policy = SupervisorPolicy(chunk_windows=3)
+        first = Supervisor(policy, run_dir=run_dir)
+        ExperimentContext(_TINY, jobs=1, supervisor=first).campaign("mcf")
+        first.close()
+        shutil.rmtree(run_dir / "chunks")
+        second = Supervisor(policy, run_dir=run_dir)
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=second)
+        _, characterization = ctx.campaign("mcf")
+        second.close()
+        assert characterization.characterization == s_char.characterization
+        assert second.reports[0].chunks_run > 0
+        summary = _assert_status_matches(run_dir, second.reports)
+        assert summary["by_type"]["chunk_done"] \
+            == 2 * summary["phases"][0]["chunks_done"]
+
+
+# ----------------------------------------------------------------------
+# the status fold over a run directory holding several phases
+# ----------------------------------------------------------------------
+class TestStatusFold:
+    def test_two_benchmarks_are_two_phases(self, tmp_path):
+        config = replace(_TINY, benchmarks=("mcf", "bzip2"), num_faults=6)
+        run_dir = tmp_path / "run"
+        sup = Supervisor(SupervisorPolicy(chunk_windows=3),
+                         run_dir=run_dir)
+        ctx = ExperimentContext(config, jobs=1, supervisor=sup)
+        ctx.campaign("mcf")
+        ctx.campaign("bzip2")
+        sup.close()
+        summary = _assert_status_matches(run_dir, sup.reports)
+        assert [(p["phase"], p["benchmark"], p["windows_done"],
+                 p["windows_total"]) for p in summary["phases"]] == [
+            ("characterize", "mcf", 6, 6), ("characterize", "bzip2", 6, 6)]
+        assert summary["windows_done"] == summary["windows_total"] == 12
+
+    def test_two_schemes_over_one_characterization(self, serial_reference,
+                                                   tmp_path):
+        _, s_cov = serial_reference
+        run_dir = tmp_path / "run"
+        sup = Supervisor(SupervisorPolicy(chunk_windows=3),
+                         run_dir=run_dir)
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=sup)
+        ctx.coverage("mcf", "faulthound")
+        ctx.coverage("mcf", "pbfs")
+        sup.close()
+        summary = _assert_status_matches(run_dir, sup.reports)
+        sdc = len(s_cov.coverage_results)
+        assert [(p["phase"], p["scheme"], p["windows_done"])
+                for p in summary["phases"]] == [
+            ("characterize", "baseline", _TINY.num_faults),
+            ("coverage", "faulthound", sdc), ("coverage", "pbfs", sdc)]
 
 
 # ----------------------------------------------------------------------

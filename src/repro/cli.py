@@ -442,6 +442,8 @@ def _cmd_campaign(args) -> int:
         _save_campaign_args(args)       # journal is always resumable
     supervisor = Supervisor(policy, run_dir=args.run_dir)
     try:
+        supervisor.journal_campaign([("characterize", args.name, "baseline"),
+                                     ("coverage", args.name, args.scheme)])
         with _session(cfg, args, supervisor=supervisor) as ctx:
             with supervisor.graceful():
                 _print_campaign(ctx, args)

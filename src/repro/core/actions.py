@@ -55,8 +55,21 @@ class CheckResult:
     lookup: Optional[LookupResult] = None
 
     @staticmethod
+    def of(action: CheckAction, kind: CheckKind,
+           triggered: bool) -> "CheckResult":
+        """The shared instance for (*action*, *kind*, *triggered*): there
+        are only 36, so a check returns one of them and allocates
+        nothing."""
+        return _INTERNED[action, kind, triggered]
+
+    @staticmethod
     def none(kind: CheckKind) -> "CheckResult":
-        return CheckResult(CheckAction.NONE, kind)
+        return _INTERNED[CheckAction.NONE, kind, False]
+
+
+_INTERNED = {(action, kind, triggered): CheckResult(action, kind, triggered)
+             for action in CheckAction for kind in CheckKind
+             for triggered in (False, True)}
 
 
 __all__ = ["CheckKind", "CheckAction", "CheckResult"]

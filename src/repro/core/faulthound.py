@@ -151,10 +151,10 @@ class FaultHoundUnit(ScreeningUnit):
         if self.replaying or not triggered:
             # During replay the filters keep learning but triggers are
             # ignored (Section 3.3).
-            return self._record(CheckResult(CheckAction.NONE, kind,
-                                            triggered=triggered))
+            return self._record(CheckResult.of(CheckAction.NONE, kind,
+                                               triggered))
         action = self._arbitrate(domain, mismatch, closest, at_commit=False)
-        return self._record(CheckResult(action, kind, triggered=True))
+        return self._record(CheckResult.of(action, kind, True))
 
     def check_at_commit(self, kind: CheckKind, value: int,
                         pc: int) -> CheckResult:
@@ -163,10 +163,10 @@ class FaultHoundUnit(ScreeningUnit):
         domain = self._domain(kind)
         triggered, mismatch, _closest = self._first_level(domain, value, pc)
         if self.replaying or not triggered:
-            return self._record(CheckResult(CheckAction.NONE, kind,
-                                            triggered=triggered))
+            return self._record(CheckResult.of(CheckAction.NONE, kind,
+                                               triggered))
         action = self._arbitrate(domain, mismatch, None, at_commit=True)
-        return self._record(CheckResult(action, kind, triggered=True))
+        return self._record(CheckResult.of(action, kind, True))
 
     @property
     def total_table_lookups(self) -> int:

@@ -11,7 +11,7 @@ isolates the contribution of FaultHound's other mechanisms.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..config import PBFSConfig, VALUE_MASK
 from .actions import CheckAction, CheckKind, CheckResult
@@ -25,17 +25,37 @@ class PCIndexedFilterTable:
     This is PBFS's organisation: nearby instructions with similar values
     land in *different* entries purely because their PCs differ — the
     spreading that FaultHound's clustering removes.
+
+    ``entries`` maps an index to its filter and holds only the entries a
+    check has touched: an untouched entry is an invalid filter, which the
+    first check installs anyway. A run touches a few dozen of the
+    thousands of entries, so a table builds, clones and pickles in
+    proportion to those.
     """
 
     def __init__(self, entries: int, bank_kind: str, changing_states: int = 2):
-        self.entries: List[BitmaskFilter] = [
-            BitmaskFilter(bank_kind, changing_states) for _ in range(entries)]
+        self.size = entries
+        self.entries: Dict[int, BitmaskFilter] = {}
         self.bank_kind = bank_kind
+        self.changing_states = changing_states
         self.lookups = 0
         self.triggers = 0
 
+    def __setstate__(self, state: dict) -> None:
+        entries = state["entries"]
+        if isinstance(entries, list):    # pickled with every entry built
+            bank = entries[0].bank
+            machines = getattr(bank, "machines", None)
+            state["size"] = len(entries)
+            state["entries"] = {index: entry
+                                for index, entry in enumerate(entries)
+                                if entry.valid}
+            state["changing_states"] = (
+                machines[0].num_changing_states if machines else 2)
+        self.__dict__.update(state)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
 
     def check(self, pc: int, value: int) -> tuple:
         """Look up by *pc*, screen *value*; returns (triggered, mismatch_mask).
@@ -45,9 +65,12 @@ class PCIndexedFilterTable:
         """
         self.lookups += 1
         value &= VALUE_MASK
-        entry = self.entries[pc % len(self.entries)]
-        if not entry.valid:
+        index = pc % self.size
+        entry = self.entries.get(index)
+        if entry is None:
+            entry = BitmaskFilter(self.bank_kind, self.changing_states)
             entry.install(value)
+            self.entries[index] = entry
             return False, 0
         mismatch = entry.mismatch_mask(value)
         entry.update(value)
@@ -58,15 +81,17 @@ class PCIndexedFilterTable:
 
     def flash_clear(self) -> None:
         """Periodic clear of the sticky counters (Section 2.1)."""
-        for entry in self.entries:
-            if entry.valid:
-                entry.flash_clear()
+        for entry in self.entries.values():
+            entry.flash_clear()
 
     def clone(self) -> "PCIndexedFilterTable":
         """Independent copy for core forking (checkpoint protocol)."""
         twin = PCIndexedFilterTable.__new__(PCIndexedFilterTable)
-        twin.entries = [entry.clone() for entry in self.entries]
+        twin.size = self.size
+        twin.entries = {index: entry.clone()
+                        for index, entry in self.entries.items()}
         twin.bank_kind = self.bank_kind
+        twin.changing_states = self.changing_states
         twin.lookups = self.lookups
         twin.triggers = self.triggers
         return twin
@@ -114,10 +139,10 @@ class PBFSUnit(ScreeningUnit):
         if triggered and not self.replaying:
             # PBFS squashes the pipeline immediately upon detection, hoping
             # the originating instruction has not yet committed.
-            return self._record(CheckResult(CheckAction.SQUASH, kind,
-                                            triggered=True))
-        return self._record(CheckResult(CheckAction.NONE, kind,
-                                        triggered=triggered))
+            return self._record(CheckResult.of(CheckAction.SQUASH, kind,
+                                               True))
+        return self._record(CheckResult.of(CheckAction.NONE, kind,
+                                           triggered))
 
     def check_at_commit(self, kind: CheckKind, value: int,
                         pc: int) -> CheckResult:

@@ -10,22 +10,30 @@ delinquent position is suppressed — likely a false positive.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..config import VALUE_MASK
-from .state_machines import BiasedMachine
+from .state_machines import SlicedBiasedMachines
 
 
 class SecondLevelFilter:
-    """64 per-bit-position biased machines, advanced on every trigger."""
+    """64 per-bit-position biased machines, advanced on every trigger.
+
+    The machines are bit-sliced (:class:`SlicedBiasedMachines`), one lane
+    per bit position, so a trigger advances all of them in a few int
+    operations and a clone copies a handful of ints.
+    """
 
     def __init__(self, num_states: int = 8, value_bits: int = 64):
         if num_states < 2:
             raise ValueError("second-level filter needs >= 2 states")
-        self._machines: List[BiasedMachine] = [
-            BiasedMachine(num_states - 1) for _ in range(value_bits)]
+        self._machines = SlicedBiasedMachines(value_bits, num_states - 1)
         self.observed_triggers = 0
         self.suppressed_triggers = 0
+
+    def __setstate__(self, state: dict) -> None:
+        machines = state["_machines"]
+        if isinstance(machines, list):   # pickled as scalar machines
+            state["_machines"] = SlicedBiasedMachines.from_machines(machines)
+        self.__dict__.update(state)
 
     def observe_trigger(self, mismatch_mask: int) -> int:
         """Process one replay trigger whose non-matching positions are
@@ -37,14 +45,7 @@ class SecondLevelFilter:
         re-arming.
         """
         mismatch_mask &= VALUE_MASK
-        allowed = 0
-        bit = 0
-        mask = mismatch_mask
-        for machine in self._machines:
-            if machine.observe(bool(mask & 1)):
-                allowed |= 1 << bit
-            mask >>= 1
-            bit += 1
+        allowed = self._machines.observe(mismatch_mask)
         self.observed_triggers += 1
         if mismatch_mask and not allowed:
             self.suppressed_triggers += 1
@@ -53,30 +54,19 @@ class SecondLevelFilter:
     def clone(self) -> "SecondLevelFilter":
         """Independent copy for core forking (checkpoint protocol)."""
         twin = SecondLevelFilter.__new__(SecondLevelFilter)
-        twin._machines = [machine.clone() for machine in self._machines]
+        twin._machines = self._machines.clone()
         twin.observed_triggers = self.observed_triggers
         twin.suppressed_triggers = self.suppressed_triggers
         return twin
 
     def allows(self, mismatch_mask: int) -> bool:
         """Side-effect-free: would any position in *mismatch_mask* alarm?"""
-        mismatch_mask &= VALUE_MASK
-        bit = 0
-        while mismatch_mask:
-            if mismatch_mask & 1 and self._machines[bit].state == 0:
-                return True
-            mismatch_mask >>= 1
-            bit += 1
-        return False
+        return bool(mismatch_mask & VALUE_MASK & ~self._machines.nonzero)
 
     @property
     def delinquent_mask(self) -> int:
         """Positions currently suppressed (machine not in the allow state)."""
-        mask = 0
-        for bit, machine in enumerate(self._machines):
-            if machine.state:
-                mask |= 1 << bit
-        return mask
+        return self._machines.nonzero
 
 
 __all__ = ["SecondLevelFilter"]

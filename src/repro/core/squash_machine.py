@@ -11,24 +11,28 @@ rename fault and licenses a full pipeline squash.
 
 from __future__ import annotations
 
-from typing import List
-
-from .state_machines import BiasedMachine
+from .state_machines import SlicedBiasedMachines
 
 
 class SquashMachineBank:
-    """One biased machine per first-level TCAM entry."""
+    """One biased machine per first-level TCAM entry, bit-sliced (one
+    :class:`SlicedBiasedMachines` lane per entry)."""
 
     def __init__(self, entries: int, num_states: int = 8):
         if num_states < 2:
             raise ValueError("squash machines need >= 2 states")
-        self._machines: List[BiasedMachine] = [
-            BiasedMachine(num_states - 1) for _ in range(entries)]
+        self._machines = SlicedBiasedMachines(entries, num_states - 1)
         self.squashes_allowed = 0
         self.squashes_suppressed = 0
 
+    def __setstate__(self, state: dict) -> None:
+        machines = state["_machines"]
+        if isinstance(machines, list):   # pickled as scalar machines
+            state["_machines"] = SlicedBiasedMachines.from_machines(machines)
+        self.__dict__.update(state)
+
     def __len__(self) -> int:
-        return len(self._machines)
+        return self._machines.lanes
 
     def observe_trigger(self, closest_index: int) -> bool:
         """Process one replay trigger whose closest-matching filter is
@@ -37,20 +41,17 @@ class SquashMachineBank:
         Every machine advances: the closest entry records a trigger, all
         other entries count a no-trigger toward re-arming.
         """
-        allow = False
-        for index, machine in enumerate(self._machines):
-            if machine.observe(index == closest_index):
-                allow = True
-        if allow:
+        closest = 1 << closest_index if closest_index >= 0 else 0
+        if self._machines.observe(closest):
             self.squashes_allowed += 1
-        else:
-            self.squashes_suppressed += 1
-        return allow
+            return True
+        self.squashes_suppressed += 1
+        return False
 
     def clone(self) -> "SquashMachineBank":
         """Independent copy for core forking (checkpoint protocol)."""
         twin = SquashMachineBank.__new__(SquashMachineBank)
-        twin._machines = [machine.clone() for machine in self._machines]
+        twin._machines = self._machines.clone()
         twin.squashes_allowed = self.squashes_allowed
         twin.squashes_suppressed = self.squashes_suppressed
         return twin
@@ -58,10 +59,10 @@ class SquashMachineBank:
     def entry_replaced(self, index: int) -> None:
         """A TCAM entry was replaced: its identity history is void, so
         saturate its machine (a fresh entry must re-earn squash rights)."""
-        self._machines[index].saturate()
+        self._machines.saturate(index)
 
     def state_of(self, index: int) -> int:
-        return self._machines[index].state
+        return self._machines.state(index)
 
 
 __all__ = ["SquashMachineBank"]

@@ -129,4 +129,89 @@ class BiasedMachine:
         return self.state != 0
 
 
-__all__ = ["StickyCounter", "StandardCounter", "BiasedMachine"]
+class SlicedBiasedMachines:
+    """A row of :class:`BiasedMachine` lanes as bit-sliced counters.
+
+    Lane *i*'s state is bit *i* of each ``planes[j]`` (plane 0 the least
+    significant), so one step of every lane is a few int operations,
+    whatever the lane count::
+
+        alarm = change & ~nonzero            # an event while in U
+        quiet non-zero lanes count down      # borrow ripple over the planes
+        changed lanes jump to the deepest changing state
+
+    The second-level filter (one lane per bit position) and the squash
+    machines (one lane per TCAM entry) are rows of these; the scalar
+    :class:`BiasedMachine` stays the reference they are tested against.
+    """
+
+    __slots__ = ("planes", "top", "lanes")
+
+    def __init__(self, lanes: int, num_changing_states: int) -> None:
+        if num_changing_states < 1:
+            raise ValueError("need at least one changing state")
+        self.lanes = lanes
+        self.top = num_changing_states
+        self.planes = [0] * num_changing_states.bit_length()
+
+    @classmethod
+    def from_machines(cls, machines) -> "SlicedBiasedMachines":
+        """Lanes holding the states of scalar *machines*, in order (how a
+        row pickled as a list of :class:`BiasedMachine` loads)."""
+        row = cls(len(machines), machines[0].num_changing_states)
+        for lane, machine in enumerate(machines):
+            for j in range(len(row.planes)):
+                if machine.state >> j & 1:
+                    row.planes[j] |= 1 << lane
+        return row
+
+    @property
+    def nonzero(self) -> int:
+        """Lanes in a changing state (not U)."""
+        mask = 0
+        for plane in self.planes:
+            mask |= plane
+        return mask
+
+    def observe(self, change: int) -> int:
+        """Advance every lane, lane *i* seeing an event when bit *i* of
+        *change* is set; returns the lanes that alarmed."""
+        change &= (1 << self.lanes) - 1
+        planes = self.planes
+        nonzero = self.nonzero
+        alarm = change & ~nonzero
+        borrow = nonzero & ~change
+        top = self.top
+        for j, plane in enumerate(planes):
+            counted = plane ^ borrow
+            borrow &= ~plane
+            if top >> j & 1:
+                planes[j] = counted | change
+            else:
+                planes[j] = counted & ~change
+        return alarm
+
+    def saturate(self, lane: int) -> None:
+        """Force *lane* into the deepest changing state."""
+        bit = 1 << lane
+        planes = self.planes
+        for j in range(len(planes)):
+            if self.top >> j & 1:
+                planes[j] |= bit
+            else:
+                planes[j] &= ~bit
+
+    def state(self, lane: int) -> int:
+        return sum((plane >> lane & 1) << j
+                   for j, plane in enumerate(self.planes))
+
+    def clone(self) -> "SlicedBiasedMachines":
+        twin = SlicedBiasedMachines.__new__(SlicedBiasedMachines)
+        twin.lanes = self.lanes
+        twin.top = self.top
+        twin.planes = list(self.planes)
+        return twin
+
+
+__all__ = ["StickyCounter", "StandardCounter", "BiasedMachine",
+           "SlicedBiasedMachines"]

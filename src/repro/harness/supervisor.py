@@ -250,14 +250,14 @@ class PhaseReport:
 class CampaignJournal:
     """Append-only, fsync'd JSONL journal of campaign progress.
 
-    Every line is one JSON object with a ``type`` field (``plan``,
-    ``chunk_done``, ``quarantine``, ``phase_done``, ``resume``,
-    ``drain``). Appends are flushed *and fsync'd* so a SIGKILL never
-    loses an acknowledged chunk; a truncated trailing line (killed
-    mid-append) becomes a synthesized ``truncated_tail`` note — it is
-    read with :func:`repro.obs.events.read_events` — while corruption
-    anywhere *before* the tail is a hard error (an fsync'd append-only
-    journal cannot legitimately contain one).
+    Every line is one JSON object with a ``type`` field (``campaign``,
+    ``plan``, ``chunk_done``, ``quarantine``, ``phase_done``,
+    ``resume``, ``drain``). Appends are flushed *and fsync'd* so a
+    SIGKILL never loses an acknowledged chunk; a truncated trailing line
+    (killed mid-append) becomes a synthesized ``truncated_tail`` note —
+    it is read with :func:`repro.obs.events.read_events` — while
+    corruption anywhere *before* the tail is a hard error (an fsync'd
+    append-only journal cannot legitimately contain one).
     """
 
     def __init__(self, run_dir: str | os.PathLike):
@@ -494,6 +494,10 @@ class Supervisor:
         report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label)
         self.reports.append(report)
         if not records:
+            # journaled all the same, so that `repro status` sees a
+            # listed phase (a coverage phase with no SDC) settle
+            self._journal_plan(phase_ctx, [], report, jobs)
+            self._journal_done(report)
             return report
 
         done: Dict[int, Tuple[int, List[WindowResult]]] = {}
@@ -506,13 +510,7 @@ class Supervisor:
         self._emit("plan", phase_ctx, chunks=len(bounds),
                    windows=len(records), resumed=report.chunks_resumed,
                    executor=dispatcher)
-        if self.journal is not None:
-            self.journal.append({
-                "type": "plan", "phase": phase, "benchmark": benchmark,
-                "scheme": label, "windows": len(records),
-                "bounds": [list(b) for b in bounds],
-                "resumed_chunks": report.chunks_resumed,
-                "config_digest": phase_ctx.digest, "jobs": jobs})
+        self._journal_plan(phase_ctx, bounds, report, jobs)
 
         if bounds:
             chunks = deque(
@@ -544,15 +542,39 @@ class Supervisor:
         report.quarantined = sorted(quarantined, key=lambda q: q.index)
         if report.quarantined:
             report.status = "complete-with-quarantine"
-        if self.journal is not None:
-            self.journal.append({"type": "phase_done", "phase": phase,
-                                 "status": report.status,
-                                 "windows": len(report.windows),
-                                 "quarantined": len(report.quarantined)})
+        self._journal_done(report)
         self._emit("phase_done", phase_ctx, status=report.status,
                    windows=len(report.windows),
                    quarantined=len(report.quarantined))
         return report
+
+    def _journal_plan(self, phase_ctx: _Phase, bounds, report: PhaseReport,
+                      jobs: int) -> None:
+        if self.journal is not None:
+            self.journal.append({
+                "type": "plan", "phase": phase_ctx.phase,
+                "benchmark": phase_ctx.benchmark, "scheme": phase_ctx.label,
+                "windows": len(phase_ctx.records),
+                "bounds": [list(b) for b in bounds],
+                "resumed_chunks": report.chunks_resumed,
+                "config_digest": phase_ctx.digest, "jobs": jobs})
+
+    def _journal_done(self, report: PhaseReport) -> None:
+        if self.journal is not None:
+            self.journal.append({"type": "phase_done", "phase": report.phase,
+                                 "status": report.status,
+                                 "windows": len(report.windows),
+                                 "quarantined": len(report.quarantined)})
+
+    def journal_campaign(self, phases: Sequence[Tuple[str, str, str]]
+                         ) -> None:
+        """Journal the (phase, benchmark, scheme) triples a campaign will
+        run, before its first plan: `repro status` then reports the run
+        incomplete until each of them has settled, not only the phases
+        planned so far."""
+        if self.journal is not None:
+            self.journal.append({"type": "campaign",
+                                 "phases": [list(p) for p in phases]})
 
     # -- dispatcher selection ------------------------------------------
     def _dispatcher(self, jobs: int, chunks: int) -> str:
@@ -1173,16 +1195,22 @@ def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
     one at a time. Windows count by index, so a window that several
     invocations journaled counts once. A phase with neither a
     ``phase_done`` nor a ``drain`` is ``incomplete`` — still running or
-    killed; the journal cannot tell which.
+    killed; the journal cannot tell which. A ``campaign`` record lists
+    the phases a campaign will run; one of them not planned yet is
+    ``pending``, so a run killed between two phases stays incomplete.
     """
     journal = CampaignJournal.read(run_dir)
     by_type: Dict[str, int] = {}
     phases: Dict[Tuple[str, str, str], Dict[str, Any]] = {}
+    listed: Dict[Tuple[str, str, str], None] = {}
     slot: Optional[Dict[str, Any]] = None
     for entry in journal:
         kind = entry.get("type", "?")
         by_type[kind] = by_type.get(kind, 0) + 1
-        if kind == "plan":
+        if kind == "campaign":
+            listed.update((tuple(str(part) for part in triple), None)
+                          for triple in entry.get("phases", ()))
+        elif kind == "plan":
             key = (str(entry.get("phase")), str(entry.get("benchmark")),
                    str(entry.get("scheme")))
             slot = phases.setdefault(key, {"windows": set(),
@@ -1209,6 +1237,11 @@ def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
              "quarantined": len(slot["quarantined"]),
              "status": slot["status"]}
             for (phase, benchmark, scheme), slot in phases.items()]
+    rows += [{"phase": phase, "benchmark": benchmark, "scheme": scheme,
+              "windows_total": 0, "windows_done": 0, "chunks_done": 0,
+              "quarantined": 0, "status": "pending"}
+             for phase, benchmark, scheme in listed
+             if (phase, benchmark, scheme) not in phases]
     quarantined = [{field: record.get(field) for field in
                     ("phase", "benchmark", "scheme", "index", "site",
                      "bit", "reason")}
@@ -1217,7 +1250,7 @@ def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
     statuses = {row["status"] for row in rows}
     if "aborted" in statuses:
         state = "aborted"
-    elif "incomplete" in statuses or not rows:
+    elif statuses & {"incomplete", "pending"} or not rows:
         state = "incomplete"
     elif quarantined:
         state = "complete-with-quarantine"

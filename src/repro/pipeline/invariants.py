@@ -54,8 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-import numpy as np
-
 from ..errors import SimulationError
 from .uops import OpState
 
@@ -290,12 +288,11 @@ class InvariantSanitizer:
         for tag in sorted(overlap)[:8]:
             fail("freelist-disjoint", f"free tag p{tag} is still live "
                                       f"(rename mapping or in-flight op)")
-        # Vectorised pending scan: the ready list is O(phys_regs) and the
-        # set of pending registers is tiny, so collapse the Python loop
-        # to a numpy nonzero before the (rare) membership checks.
-        pending = np.flatnonzero(
-            ~np.fromiter(ready, dtype=bool, count=len(ready)))
-        for reg in pending.tolist():
+        # Pending scan: the ready list is O(phys_regs) and the set of
+        # pending registers is tiny, so one comprehension collects them
+        # before the (rare) membership checks.
+        pending = [reg for reg, ok in enumerate(ready) if not ok]
+        for reg in pending:
             if reg not in pending_writers and reg not in free_tags:
                 fail("prf-ready", f"p{reg} marked pending with no in-flight "
                                   f"writer and not on the free list")

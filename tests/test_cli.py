@@ -353,6 +353,38 @@ def test_status_counts_resumed_windows_once(tmp_path, capsys,
                       for p in finished["phases"]]
 
 
+def test_status_incomplete_between_phases(tmp_path, capsys, monkeypatch):
+    """A campaign journal cut right after characterize's phase_done (a
+    run killed before its coverage phase planned) is incomplete, with
+    coverage pending; a resume settles it."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    run_dir = tmp_path / "run"
+    code, first, _ = run_cli(capsys, "campaign", "mcf", "--faults", "6",
+                             "--jobs", "1", "--no-cache",
+                             "--run-dir", str(run_dir))
+    assert code == 0
+    journal = run_dir / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    assert json.loads(lines[0]) == {
+        "type": "campaign", "phases": [["characterize", "mcf", "baseline"],
+                                       ["coverage", "mcf", "faulthound"]]}
+    cut = next(i for i, line in enumerate(lines)
+               if json.loads(line)["type"] == "phase_done")
+    journal.write_text("".join(lines[:cut + 1]))
+    summary = _status(capsys, run_dir)
+    assert summary["state"] == "incomplete"
+    assert [(p["phase"], p["scheme"], p["status"])
+            for p in summary["phases"]] == [
+        ("characterize", "baseline", "complete"),
+        ("coverage", "faulthound", "pending")]
+    code, out, _ = run_cli(capsys, "resume", str(run_dir))
+    assert code == 0
+    assert out == first
+    summary = _status(capsys, run_dir)
+    assert summary["state"] == "complete"
+    _assert_phases_settled(summary)
+
+
 def test_status_notes_torn_journal_tail(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
     journal.write_text(

@@ -832,6 +832,36 @@ class TestStatusFold:
             ("coverage", "faulthound", sdc), ("coverage", "pbfs", sdc)]
 
 
+    def test_listed_phase_without_windows_settles(self, tmp_path):
+        """A listed phase with no windows (coverage of a plan without
+        SDC faults) journals a plan and a phase_done, so it settles."""
+        ctx = ExperimentContext(_TINY, jobs=1)
+        run_dir = tmp_path / "run"
+        sup = Supervisor(run_dir=run_dir)
+        sup.journal_campaign([("coverage", "mcf", "faulthound")])
+        assert summarize_run_dir(run_dir)["state"] == "incomplete"
+        sup.classify_windows(_TINY, ctx.hw, "mcf", "faulthound", [],
+                             phase="coverage")
+        sup.close()
+        summary = summarize_run_dir(run_dir)
+        assert summary["state"] == "complete"
+        assert [(p["phase"], p["windows_total"], p["status"])
+                for p in summary["phases"]] == [("coverage", 0, "complete")]
+
+    def test_journal_without_campaign_record_judges_planned_phases(
+            self, tmp_path):
+        journal = CampaignJournal(tmp_path)
+        journal.append({"type": "plan", "phase": "characterize",
+                        "benchmark": "mcf", "scheme": "baseline",
+                        "windows": 2})
+        journal.append({"type": "chunk_done", "phase": "characterize",
+                        "key": "k", "lo": 0, "hi": 2})
+        journal.append({"type": "phase_done", "phase": "characterize",
+                        "status": "complete"})
+        journal.close()
+        assert summarize_run_dir(tmp_path)["state"] == "complete"
+
+
 # ----------------------------------------------------------------------
 # SIGKILL + resume, end to end via the CLI
 # ----------------------------------------------------------------------

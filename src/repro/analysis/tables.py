@@ -11,6 +11,7 @@ def format_table(title: str, rows: Mapping[str, Mapping[str, float]],
 
     With ``percent=True`` values are shown as percentages, the way the
     paper's Y axes label coverage, false-positive rates and overheads.
+    A None value (undefined, e.g. coverage of no SDC fault) renders ``-``.
     """
     if not rows:
         return f"{title}\n(no data)"
@@ -20,6 +21,8 @@ def format_table(title: str, rows: Mapping[str, Mapping[str, float]],
     def fmt(value) -> str:
         if isinstance(value, str):
             return value
+        if value is None:
+            return "-"
         if percent:
             return f"{100.0 * value:.{max(0, decimals - 2)}f}%"
         return f"{value:.{decimals}f}"

@@ -12,6 +12,13 @@ committed-instruction boundary (the paper's run-window), and compares:
 
 The golden core is then re-used for the next fault (the paper's trick of
 serving all injections from one benchmark run).
+
+A register-file fault that is dead — overwritten before anything reads
+it — is classified from the golden run alone (see
+:meth:`TandemClassifier._register_verdict`): until the first read of the
+flipped register the faulty twin retraces golden cycle for cycle, so
+comparing golden with itself yields exactly the window result the faulty
+run would have produced.
 """
 
 from __future__ import annotations
@@ -93,6 +100,9 @@ class TandemClassifier:
         #: Observes only per-window facts, never the golden core's
         #: cumulative stats, so results stay bit-for-bit metrics on/off.
         self.metrics = metrics
+        #: Windows classified without a faulty run since the last
+        #: :meth:`_record_metrics` (dead register faults).
+        self._pruned = 0
 
     # ------------------------------------------------------------------
     def run(self, records: List[FaultRecord],
@@ -129,6 +139,9 @@ class TandemClassifier:
         self.metrics.counter("classifier_windows_total").inc(len(results))
         self.metrics.counter("classifier_applied_total").inc(
             sum(1 for r in results if r.applied))
+        self.metrics.counter("classifier_pruned_windows_total").inc(
+            self._pruned)
+        self._pruned = 0
         latency = self.metrics.histogram("classifier_detection_latency_cycles",
                                          LATENCY_CYCLE_BUCKETS)
         for result in results:
@@ -191,6 +204,7 @@ class TandemClassifier:
         golden.set_snapshot_targets(targets)
         self._run_to_capture(golden)
         self._check_golden(golden)
+        golden.set_snapshot_targets({})
 
     def _check_golden(self, golden: PipelineCore) -> None:
         """Run the armed sanitizer at a capture point (no-op otherwise).
@@ -214,26 +228,77 @@ class TandemClassifier:
             record.applied = False
             return result
 
-        faulty = golden.clone()
-        if not self._apply_with_retry(faulty, record):
-            result.applied = False
-            return result
-        before = _EventBaseline.of(faulty)
-        inject_cycle = faulty.cycle
-        triggers_before = len(faulty.screen_trigger_cycles)
+        dead = self._register_verdict(golden, record)
+        if dead:
+            # no fork at all, but the record learns what
+            # FaultInjector.apply would have told it
+            record.reg_status = self.injector.reg_status(golden, record.reg)
+            record.applied = True
+            injected = golden
+        else:
+            faulty = injected = golden.clone()
+            if not self._apply_with_retry(faulty, record):
+                result.applied = False
+                return result
+        before = _EventBaseline.of(injected)
+        inject_cycle = injected.cycle
+        triggers_before = len(injected.screen_trigger_cycles)
 
         # Arm both cores to capture each thread's state one run-window of
         # commits past the injection point.
         targets = {t.thread_id: t.committed_count + self.window_commits
                    for t in golden.threads}
         golden.set_snapshot_targets(targets)
-        faulty.set_snapshot_targets(targets)
-        self._run_to_capture(golden)
+        if dead is None:
+            watch = _FirstUseWatch(golden, record.reg % golden.prf.num_regs)
+            try:
+                self._run_to_capture(golden)
+            finally:
+                watch.detach()
+            dead = not watch.read
+        else:
+            self._run_to_capture(golden)
         self._check_golden(golden)
-        self._run_to_capture(faulty)
+        if dead:
+            # the faulty twin would retrace golden through the window
+            self._pruned += 1
+            faulty = golden
+        else:
+            faulty.set_snapshot_targets(targets)
+            self._run_to_capture(faulty)
 
-        return self._compare_window(golden, faulty, record, before,
-                                    triggers_before, inject_cycle)
+        result = self._compare_window(golden, faulty, record, before,
+                                      triggers_before, inject_cycle)
+        # the next window re-arms: checkpoints taken between windows
+        # must not carry this window's captured memory images
+        golden.set_snapshot_targets({})
+        return result
+
+    def _register_verdict(self, golden: PipelineCore,
+                          record: FaultRecord) -> Optional[bool]:
+        """Whether a fault about to land is dead — overwritten before any
+        instruction reads it — decided at injection where possible.
+
+        True (dead) for a register-file fault in a register that is not
+        ready: its pending producer overwrites it in full before any
+        reader may issue. False (live) for every other site, and for a
+        register some in-flight op of either thread already sources.
+        None otherwise: the golden window's dispatch stream decides
+        (:class:`_FirstUseWatch`). Every register read goes through an
+        op's ``phys_srcs``, which are renamed only at dispatch, and the
+        faulty twin's dispatch stream equals golden's up to the first
+        read, so a dead verdict is exact, never a guess.
+        """
+        if record.site is not FaultSite.REGFILE:
+            return False
+        reg = record.reg % golden.prf.num_regs
+        if not golden.prf.ready[reg]:
+            return True
+        for thread in golden.threads:
+            for op in thread.rob:
+                if reg in op.phys_srcs:
+                    return False
+        return None
 
     def _compare_window(self, golden: PipelineCore, faulty: PipelineCore,
                         record: FaultRecord, before: _EventBaseline,
@@ -328,6 +393,46 @@ class TandemClassifier:
 
     def _run_to_capture(self, core: PipelineCore) -> None:
         core.run_to_capture(self.max_window_cycles)
+
+
+class _FirstUseWatch:
+    """Watches a core's dispatch stream for the first op that names one
+    physical register; :attr:`read` ends True when that op sources it.
+
+    Shadows ``_dispatch_stage`` on the watched instance only (the
+    class-level stage is untouched, so every other core pays nothing)
+    and stops watching once an op has named the register. Ops dispatched
+    in one cycle are visited in the stage's own thread order.
+    """
+
+    __slots__ = ("core", "reg", "read")
+
+    def __init__(self, core: PipelineCore, reg: int):
+        self.core = core
+        self.reg = reg
+        self.read = False
+        core._dispatch_stage = self._dispatch_stage
+
+    def _dispatch_stage(self) -> None:
+        core = self.core
+        threads = core.threads
+        before = [len(thread.rob._ops) for thread in threads]
+        type(core)._dispatch_stage(core)
+        reg = self.reg
+        orders = core._thread_orders
+        for thread in orders[core.cycle % len(orders)]:
+            ops = thread.rob._ops
+            for back in range(len(ops) - before[thread.thread_id], 0, -1):
+                op = ops[-back]
+                if reg in op.phys_srcs:
+                    self.read = True
+                elif op.phys_dest != reg:
+                    continue
+                self.detach()
+                return
+
+    def detach(self) -> None:
+        self.core.__dict__.pop("_dispatch_stage", None)
 
 
 class _Delta:

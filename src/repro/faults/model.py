@@ -34,10 +34,19 @@ class FaultClass(enum.Enum):
 
 class RegStatus(enum.Enum):
     """Lifecycle status of an injected physical register at injection time,
-    needed for the Figure 11 breakdown."""
+    needed for the Figure 11 breakdown.
 
-    FREE = "free"                # unmapped: fault necessarily masked
-    PENDING = "pending"          # allocated, producer not yet completed
+    Whether a fault is *dead* (overwritten before any read, so its window
+    is classified without a faulty run) is decided separately, by the
+    classifier's dead rule (``TandemClassifier._register_verdict``, see
+    docs/performance.md "Dead-register pruning"). Under it FREE and
+    PENDING faults are always dead; COMPLETED and COMMITTED ones are dead
+    when the window renames a new writer of the register, or nothing,
+    before a reader.
+    """
+
+    FREE = "free"                # unmapped: necessarily masked (dead)
+    PENDING = "pending"          # allocated, producer not yet completed (dead)
     COMPLETED = "completed"      # written back, producer not yet committed
     COMMITTED = "committed"      # architectural value
 

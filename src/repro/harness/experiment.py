@@ -405,6 +405,10 @@ class ExperimentContext:
                 result.quarantined = list(report.quarantined)
                 self._store_phase(phase, result, characterization,
                                   **parts)
+            else:
+                self.supervisor.journal_cached(
+                    phase, benchmark, scheme or "baseline",
+                    len(result.records))
             elapsed = time.perf_counter() - started
             self.metrics_registry.histogram(
                 "phase_seconds", SECONDS_BUCKETS).observe(elapsed)

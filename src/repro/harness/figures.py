@@ -27,6 +27,18 @@ def _ordered(benchmarks: Sequence[str]) -> List[str]:
     return ordered or list(benchmarks)
 
 
+def _coverage_or_none(result):
+    """A coverage phase's coverage, or None (rendered ``-``) when its
+    benchmark had no SDC fault: coverage of nothing is undefined."""
+    return result.coverage if result.sdc_count else None
+
+
+def _defined_mean(values):
+    """Arithmetic mean of the defined values; None when there are none."""
+    defined = [v for v in values if v is not None]
+    return arithmetic_mean(defined) if defined else None
+
+
 def _figure_span(fn):
     """Wrap a figure step in a ``figure:<name>`` event-log span, so one
     figure's phases nest under one parent in the observability trail."""
@@ -136,12 +148,12 @@ def fig8(ctx: ExperimentContext,
     fp_rows: Dict[str, Dict[str, float]] = {}
     for name in _ordered(ctx.cfg.benchmarks):
         coverage_rows[name] = {
-            s: ctx.coverage(name, s).coverage for s in schemes}
+            s: _coverage_or_none(ctx.coverage(name, s)) for s in schemes}
         fp_rows[name] = {
             s: ctx.fault_free(name, s).fp_rate for s in schemes}
     for rows in (coverage_rows, fp_rows):
         rows["MEAN"] = {
-            s: arithmetic_mean(r[s] for n, r in rows.items() if n != "MEAN")
+            s: _defined_mean(r[s] for n, r in rows.items() if n != "MEAN")
             for s in schemes}
     # pooled Wilson intervals per scheme (small per-benchmark SDC samples)
     interval_rows: Dict[str, Dict[str, str]] = {}
@@ -240,10 +252,14 @@ def fig11(ctx: ExperimentContext, scheme: str = "faulthound") -> Dict:
     ctx.prefetch(coverage=(scheme,))
     rows = {}
     for name in _ordered(ctx.cfg.benchmarks):
-        rows[name] = ctx.coverage(name, scheme).breakdown()
+        coverage = ctx.coverage(name, scheme)
+        breakdown = coverage.breakdown()
+        # a benchmark without SDC faults has no breakdown: a row of '-'
+        rows[name] = (breakdown if coverage.sdc_count
+                      else dict.fromkeys(breakdown))
     keys = list(next(iter(rows.values())).keys())
     rows["MEAN"] = {
-        k: arithmetic_mean(r[k] for n, r in rows.items() if n != "MEAN")
+        k: _defined_mean(r[k] for n, r in rows.items() if n != "MEAN")
         for k in keys}
     return {"rows": rows,
             "text": format_table("Figure 11: SDC fault breakdown", rows,
@@ -274,8 +290,8 @@ def fig12(ctx: ExperimentContext) -> Dict:
             for n in benchmarks)
 
     def mean_cov(scheme):
-        return arithmetic_mean(
-            ctx.coverage(n, scheme).coverage for n in benchmarks)
+        return _defined_mean(
+            _coverage_or_none(ctx.coverage(n, scheme)) for n in benchmarks)
 
     left = {
         "FH-BE-nocluster-no2level": {"fp_rate": mean_fp("fh-be-nocluster-no2level")},

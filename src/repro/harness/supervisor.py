@@ -566,6 +566,20 @@ class Supervisor:
                                  "windows": len(report.windows),
                                  "quarantined": len(report.quarantined)})
 
+    def journal_cached(self, phase: str, benchmark: str, scheme: str,
+                       windows: int) -> None:
+        """Journal a phase the artifact cache served: a chunkless
+        ``cached`` plan and its ``phase_done``, so `repro status` settles
+        a listed phase that this run never classified."""
+        if self.journal is not None:
+            self.journal.append({
+                "type": "plan", "phase": phase, "benchmark": benchmark,
+                "scheme": scheme, "windows": windows, "bounds": [],
+                "cached": True})
+            self.journal.append({"type": "phase_done", "phase": phase,
+                                 "status": "complete", "windows": windows,
+                                 "quarantined": 0})
+
     def journal_campaign(self, phases: Sequence[Tuple[str, str, str]]
                          ) -> None:
         """Journal the (phase, benchmark, scheme) triples a campaign will
@@ -1195,9 +1209,11 @@ def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
     one at a time. Windows count by index, so a window that several
     invocations journaled counts once. A phase with neither a
     ``phase_done`` nor a ``drain`` is ``incomplete`` — still running or
-    killed; the journal cannot tell which. A ``campaign`` record lists
-    the phases a campaign will run; one of them not planned yet is
-    ``pending``, so a run killed between two phases stays incomplete.
+    killed; the journal cannot tell which. A ``cached`` plan (a phase
+    the artifact cache served) counts all its windows done. A
+    ``campaign`` record lists the phases a campaign will run; one of them
+    not planned yet is ``pending``, so a run killed between two phases
+    stays incomplete.
     """
     journal = CampaignJournal.read(run_dir)
     by_type: Dict[str, int] = {}
@@ -1218,6 +1234,8 @@ def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
                                            "quarantined": {}})
             slot["windows_total"] = int(entry.get("windows", 0))
             slot["status"] = "incomplete"
+            if entry.get("cached"):
+                slot["windows"].update(range(slot["windows_total"]))
         elif slot is None:
             continue
         elif kind == "chunk_done":

@@ -385,6 +385,28 @@ def test_status_incomplete_between_phases(tmp_path, capsys, monkeypatch):
     _assert_phases_settled(summary)
 
 
+def test_status_complete_when_cache_serves_phases(tmp_path, capsys,
+                                                  monkeypatch):
+    """A campaign whose phases the artifact cache serves journals them,
+    so its run dir folds to complete with every window done."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    outputs = []
+    for run in ("cold", "warm"):
+        code, out, _ = run_cli(capsys, "campaign", "mcf", "--faults", "6",
+                               "--jobs", "1",
+                               "--run-dir", str(tmp_path / run))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    summary = _status(capsys, tmp_path / "warm")
+    assert summary["state"] == "complete"
+    _assert_phases_settled(summary)
+    assert [(p["phase"], p["scheme"]) for p in summary["phases"]] == [
+        ("characterize", "baseline"), ("coverage", "faulthound")]
+    assert summary["phases"][0]["windows_total"] == 6
+    assert summary["by_type"].get("chunk_done", 0) == 0
+
+
 def test_status_notes_torn_journal_tail(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
     journal.write_text(

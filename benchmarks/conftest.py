@@ -67,19 +67,20 @@ def ctx() -> ExperimentContext:
     context = ExperimentContext(_scale(), jobs=_jobs(), cache=_cache(),
                                 events=events)
     yield context
+    summary = context.metrics
     if events.enabled:
         events.close()
         write_manifest(
             manifest_path_for(events.path),
             build_manifest("run", context.cfg, context.hw,
                            jobs=context.jobs,
-                           phase_seconds=context.metrics.phase_seconds,
+                           phase_seconds=summary.phase_seconds,
                            metrics={
-                               "cache_hits": context.metrics.cache_hits,
-                               "cache_misses": context.metrics.cache_misses,
-                               "windows": context.metrics.windows,
+                               "cache_hits": summary.cache_hits,
+                               "cache_misses": summary.cache_misses,
+                               "windows": summary.windows,
                            }))
-    print(f"\n[repro] {context.metrics.summary()}")
+    print(f"\n[repro] {summary.summary()}")
 
 
 @pytest.fixture(scope="session")

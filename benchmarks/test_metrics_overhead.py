@@ -46,11 +46,11 @@ def test_metrics_overhead_is_negligible():
     the live side must stay within 1%, and the results bit-for-bit
     identical — observation, never perturbation."""
     rounds = 5
-    off = min(_campaign_seconds(None) for _ in range(rounds))
+    off = min(_campaign_seconds(NULL_METRICS) for _ in range(rounds))
     on = min(_campaign_seconds(MetricsRegistry()) for _ in range(rounds))
     overhead = on / off - 1.0
 
-    off_char, off_cov = _campaign_outcomes(None)
+    off_char, off_cov = _campaign_outcomes(NULL_METRICS)
     on_char, on_cov = _campaign_outcomes(MetricsRegistry())
     assert on_char == off_char
     assert on_cov == off_cov

@@ -65,7 +65,7 @@ from .harness import (SCALES, SCHEMES, ArtifactCache, ExperimentConfig,
                       ExperimentContext, figures)
 from .harness.experiment import scheme_unit
 from .isa import assemble
-from .obs import (EventLog, MetricsRegistry, NULL_LOG,
+from .obs import (EventLog, NULL_LOG,
                   aggregates_from_events, build_manifest,
                   format_stage_seconds, load_manifest, manifest_path_for,
                   profiled, read_events, snapshot_from_events,
@@ -147,11 +147,10 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _make_context(cfg: ExperimentConfig, args, events=None,
-                  supervisor=None, metrics=None) -> ExperimentContext:
+                  supervisor=None) -> ExperimentContext:
     cache = None if args.no_cache else ArtifactCache.default()
     return ExperimentContext(cfg, jobs=args.jobs, cache=cache,
-                             events=events, supervisor=supervisor,
-                             metrics=metrics)
+                             events=events, supervisor=supervisor)
 
 
 @contextmanager
@@ -159,15 +158,12 @@ def _session(cfg: ExperimentConfig, args,
              supervisor=None) -> Iterator[ExperimentContext]:
     """An ExperimentContext wired to the requested observability: event
     log opened/closed around the command, optional cProfile, and a
-    run-level manifest written next to the event log on exit. When the
-    event log is live a real metrics registry rides along (otherwise
-    the harness keeps the zero-cost NULL registry) and its final
-    snapshot is emitted as the log's closing ``metrics`` event."""
+    run-level manifest written next to the event log on exit. The
+    context's registry's final snapshot is emitted as the log's closing
+    ``metrics`` event."""
     events = (EventLog(args.emit_events)
               if getattr(args, "emit_events", None) else NULL_LOG)
-    registry = MetricsRegistry() if events.enabled else None
-    ctx = _make_context(cfg, args, events=events, supervisor=supervisor,
-                        metrics=registry)
+    ctx = _make_context(cfg, args, events=events, supervisor=supervisor)
     try:
         with profiled(getattr(args, "profile", False)):
             yield ctx
@@ -175,12 +171,13 @@ def _session(cfg: ExperimentConfig, args,
         if events.enabled:
             ctx.metrics_registry.emit(events)
             events.close()
+            summary = ctx.metrics
             manifest = build_manifest(
                 "run", ctx.cfg, ctx.hw, jobs=ctx.jobs,
-                phase_seconds=ctx.metrics.phase_seconds,
-                metrics={"cache_hits": ctx.metrics.cache_hits,
-                         "cache_misses": ctx.metrics.cache_misses,
-                         "windows": ctx.metrics.windows,
+                phase_seconds=summary.phase_seconds,
+                metrics={"cache_hits": summary.cache_hits,
+                         "cache_misses": summary.cache_misses,
+                         "windows": summary.windows,
                          "events": str(events.path)})
             write_manifest(manifest_path_for(events.path), manifest)
             print(f"events: {events.path}", file=sys.stderr)

@@ -10,7 +10,7 @@ the paper's uncovered categories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..core.screening import ScreeningUnit
 from ..obs.metrics import NULL_METRICS
@@ -19,39 +19,6 @@ from .classifier import TandemClassifier, WindowResult
 from .injector import FaultInjector
 from .model import (CoverageOutcome, FaultClass, FaultRecord, FaultSite,
                     RegStatus)
-
-
-@dataclass
-class ThroughputRecord:
-    """How fast one campaign phase ran (surfaced in campaign results so
-    parallel/cache speedups are measurable, not anecdotal)."""
-
-    phase: str                  # "characterize" | "coverage" | ...
-    windows: int = 0
-    wall_seconds: float = 0.0
-    jobs: int = 1
-    from_cache: bool = False
-    #: Checkpoint instrumentation for the parallel window fan-out: how
-    #: many chunk-boundary checkpoints the dispatcher captured fresh vs
-    #: reloaded from the artifact cache, and the wall-clock of its one
-    #: golden pass (zero when every boundary was a cache hit).
-    checkpoints_captured: int = 0
-    checkpoint_hits: int = 0
-    golden_pass_seconds: float = 0.0
-    #: Supervisor instrumentation (zero for cache hits): retry /
-    #: watchdog / pool-rebuild counts, windows quarantined as poison,
-    #: and chunks adopted from a prior run's journal by `repro resume`.
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    quarantined: int = 0
-    chunks_resumed: int = 0
-
-    @property
-    def windows_per_sec(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.windows / self.wall_seconds
 
 
 @dataclass
@@ -64,9 +31,6 @@ class CampaignResult:
     characterization: List[WindowResult] = field(default_factory=list)
     coverage_results: List[WindowResult] = field(default_factory=list)
     outcomes: Dict[int, CoverageOutcome] = field(default_factory=dict)
-    #: Execution-speed instrumentation for the phase that produced this
-    #: result (None for results assembled outside the harness).
-    throughput: Optional[ThroughputRecord] = None
     #: Windows the supervisor quarantined as poison instead of running
     #: (:class:`repro.harness.supervisor.QuarantineRecord` instances);
     #: empty on healthy campaigns. Aggregates above are
@@ -160,17 +124,13 @@ class Campaign:
             record.inject_at_commit = (self.warmup_commits
                                        + i * self.window_commits)
 
-    def classifier(self, factory, metrics=None) -> TandemClassifier:
-        """A tandem classifier over this campaign's window geometry (also
-        used by parallel window-chunk workers, which pass their own
-        per-process *metrics* accumulator)."""
-        # explicit None check: an empty-but-live registry is falsy
-        # (len 0), and `or` would silently drop it
+    def classifier(self, factory) -> TandemClassifier:
+        """A tandem classifier over this campaign's window geometry,
+        counting into the campaign's registry."""
         return TandemClassifier(factory, self.injector,
                                 window_commits=self.window_commits,
                                 max_window_cycles=self.max_window_cycles,
-                                metrics=(metrics if metrics is not None
-                                         else self.metrics))
+                                metrics=self.metrics)
 
     # ------------------------------------------------------------------
     def characterize(self) -> CampaignResult:
@@ -238,4 +198,4 @@ def _attribute(window: WindowResult) -> CoverageOutcome:
     return CoverageOutcome.OTHER
 
 
-__all__ = ["Campaign", "CampaignResult", "ThroughputRecord"]
+__all__ = ["Campaign", "CampaignResult"]

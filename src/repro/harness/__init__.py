@@ -1,12 +1,11 @@
 """Experiment harness: one entry point per paper table/figure."""
 
-from ..faults.campaign import ThroughputRecord
 from .cache import ArtifactCache
 from .diff import (DiffOutcome, Divergence, FuzzCase, FuzzReport,
                    build_case, lockstep_diff, run_case, run_corpus)
 from .experiment import (SCALES, SCHEMES, ExperimentConfig,
                          ExperimentContext, FaultFreeRun, scheme_unit)
-from .parallel import ContextMetrics, ParallelExecutor
+from .parallel import ParallelExecutor
 from .spec import (SpecError, compile_file, compile_spec, load_run,
                    load_spec, task_argv, task_key)
 from .supervisor import (CampaignAborted, CampaignJournal, EXIT_ABORTED,
@@ -19,7 +18,6 @@ __all__ = [
     "ArtifactCache",
     "CampaignAborted",
     "CampaignJournal",
-    "ContextMetrics",
     "DiffOutcome",
     "Divergence",
     "EXIT_ABORTED",
@@ -38,7 +36,6 @@ __all__ = [
     "SpecError",
     "Supervisor",
     "SupervisorPolicy",
-    "ThroughputRecord",
     "build_case",
     "compile_file",
     "compile_spec",

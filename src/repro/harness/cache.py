@@ -102,9 +102,6 @@ class ArtifactCache:
 
     def __init__(self, root: str | os.PathLike | None = None, events=None):
         self.root = pathlib.Path(root) if root else default_cache_root()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
         self.events = events if events is not None else NULL_LOG
         self.metrics = NULL_METRICS
 
@@ -137,7 +134,9 @@ class ArtifactCache:
 
     # -- access --------------------------------------------------------
     def get(self, kind: str, key: str) -> Optional[Any]:
-        """The cached artefact, or ``None`` on a miss (counted)."""
+        """The cached artefact, or ``None`` on a miss. Hits and misses
+        are counted by the caller, which knows what the artefact is for
+        (an experiment artefact or a chunk-boundary checkpoint)."""
         path = self._path(kind, key)
         try:
             with open(path, "rb") as handle:
@@ -146,7 +145,6 @@ class ArtifactCache:
                 ImportError, ValueError) as exc:
             if path.exists():
                 # corrupt entry: drop it so the rewrite starts clean
-                self.corrupt += 1
                 self.metrics.counter("cache_corrupt_total").inc()
                 self.events.emit("cache_corrupt", kind=kind, key=key,
                                  path=str(path), action="dropped",
@@ -155,12 +153,8 @@ class ArtifactCache:
                     path.unlink()
                 except OSError:
                     pass
-            self.misses += 1
-            self.metrics.counter("cache_misses_total").inc()
             return None
-        self.hits += 1
         if self.metrics.enabled:
-            self.metrics.counter("cache_hits_total").inc()
             try:
                 self.metrics.histogram(
                     "cache_artifact_bytes",
@@ -272,7 +266,6 @@ class ArtifactCache:
                     AttributeError, ImportError, ValueError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
             report["corrupt"] += 1
-            self.corrupt += 1
             kind = path.parent.name
             action = "dropped"
             manifest = path.with_name(

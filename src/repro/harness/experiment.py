@@ -27,18 +27,17 @@ from ..core import FaultHoundUnit, NullScreeningUnit, PBFSUnit
 from ..core.screening import ScreeningUnit
 from ..energy import EnergyBreakdown, EnergyModel
 from ..faults import Campaign, CampaignResult
-from ..faults.campaign import ThroughputRecord
 from ..analysis.metrics import fp_rate
 from ..obs.audit import audit_records
 from ..obs.events import NULL_LOG
-from ..obs.metrics import NULL_METRICS, SECONDS_BUCKETS
+from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..pipeline import PipelineCore
 from ..redundancy import dynamic_length, srt_iso_core
 from ..workloads import PROFILES, build_smt_programs
 from .cache import ArtifactCache
 from . import parallel as _parallel
-from .parallel import ContextMetrics, ParallelExecutor
+from .parallel import ParallelExecutor
 from .supervisor import Supervisor, SupervisorPolicy
 
 # ----------------------------------------------------------------------
@@ -122,6 +121,46 @@ SCALES: Dict[str, ExperimentConfig] = {
 # ----------------------------------------------------------------------
 # run records
 # ----------------------------------------------------------------------
+#: Registry counter prefix of a phase's seconds: ``phase_seconds_total:``
+#: + ``fault_free`` / ``srt`` / ``characterize`` / ``coverage`` /
+#: ``prefetch:<phase>``.
+PHASE_SECONDS = "phase_seconds_total:"
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """The figures of one registry snapshot that ``repro``'s stderr
+    summary line and its run manifests report: artefact cache hits and
+    misses (checkpoint traffic excluded), the campaign windows the
+    context materialised rather than loaded from the cache, and seconds
+    per timed phase."""
+
+    cache_hits: int = 0
+    cache_misses: int = 0
+    windows: int = 0
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, snapshot: Dict[str, Any]) -> "RunSummary":
+        counters = snapshot["counters"]
+        return cls(cache_hits=counters.get("cache_hits_total", 0),
+                   cache_misses=counters.get("cache_misses_total", 0),
+                   windows=counters.get("phase_windows_total", 0),
+                   phase_seconds={
+                       name[len(PHASE_SECONDS):]: seconds
+                       for name, seconds in counters.items()
+                       if name.startswith(PHASE_SECONDS)})
+
+    def summary(self) -> str:
+        seconds = sum(self.phase_seconds.values())
+        phases = " ".join(f"{name}={value:.2f}s" for name, value
+                          in sorted(self.phase_seconds.items()))
+        rate = self.windows / seconds if seconds > 0 else 0.0
+        return (f"cache {self.cache_hits} hits / {self.cache_misses} misses"
+                f" | {self.windows} windows ({rate:.1f}/s)"
+                f" | {phases or 'no phases timed'}")
+
+
 @dataclass
 class FaultFreeRun:
     """Derived results of one fault-free (timing/energy) run."""
@@ -164,12 +203,13 @@ class ExperimentContext:
         #: Structured event log (``repro.obs``); defaults to the no-op
         #: sink, so phases span/emit unconditionally at zero cost.
         self.events = events if events is not None else NULL_LOG
-        #: Live-telemetry registry (``repro.obs.metrics``); defaults to
-        #: the no-op NULL registry, same pattern as ``events``. Named
-        #: ``metrics_registry`` because ``metrics`` below is the legacy
-        #: :class:`ContextMetrics` throughput record.
-        self.metrics_registry = metrics if metrics is not None \
-            else NULL_METRICS
+        #: The one counter of this context's execution facts — cache
+        #: traffic, windows, checkpoints, phase seconds, supervisor and
+        #: core totals (``repro.obs.metrics``). Live unless the caller
+        #: passes :data:`~repro.obs.metrics.NULL_METRICS` to switch it
+        #: off; :attr:`metrics` reads it.
+        self.metrics_registry = (metrics if metrics is not None
+                                 else MetricsRegistry())
         #: The :class:`~repro.harness.supervisor.Supervisor` every
         #: campaign phase's windows run under; without one from the
         #: caller, a journal-less default (retries and quarantine, no
@@ -183,7 +223,6 @@ class ExperimentContext:
             cache.events = self.events
         if cache is not None and cache.metrics is NULL_METRICS:
             cache.metrics = self.metrics_registry
-        self.metrics = ContextMetrics()
         self._executor = ParallelExecutor(self.jobs, events=self.events,
                                           metrics=self.metrics_registry)
         self._programs: Dict[str, List] = {}
@@ -194,17 +233,25 @@ class ExperimentContext:
         self._coverage: Dict[Tuple[str, str], CampaignResult] = {}
         self._energy_model = EnergyModel()
 
+    @property
+    def metrics(self) -> RunSummary:
+        """A read-only summary of :attr:`metrics_registry`, as it stands."""
+        return RunSummary.of(self.metrics_registry.snapshot())
+
+    def _count_seconds(self, phase: str, started: float) -> None:
+        self.metrics_registry.counter(PHASE_SECONDS + phase).inc(
+            time.perf_counter() - started)
+
     # -- persistent cache plumbing ---------------------------------------
     def _cache_get(self, kind: str, **parts: Any):
         if self.cache is None:
             return None
         key = self.cache.key(kind, cfg=self.cfg, hw=self.hw, **parts)
         artefact = self.cache.get(kind, key)
-        if artefact is None:
-            self.metrics.cache_misses += 1
-        else:
-            self.metrics.cache_hits += 1
-        self.events.cache_event(kind, key, hit=artefact is not None)
+        hit = artefact is not None
+        self.metrics_registry.counter(
+            "cache_hits_total" if hit else "cache_misses_total").inc()
+        self.events.cache_event(kind, key, hit=hit)
         return artefact
 
     def _cache_put(self, kind: str, artefact: Any, **parts: Any) -> None:
@@ -249,8 +296,7 @@ class ExperimentContext:
                 if run is None:
                     started = time.perf_counter()
                     run = self._run_fault_free(benchmark, scheme)
-                    self.metrics.note_phase("fault_free",
-                                            time.perf_counter() - started)
+                    self._count_seconds("fault_free", started)
                     self._cache_put("fault_free", run, benchmark=benchmark,
                                     scheme=scheme)
             self._fault_free[key] = run
@@ -310,8 +356,7 @@ class ExperimentContext:
                 if run is None:
                     started = time.perf_counter()
                     run = self._run_srt(benchmark, coverage)
-                    self.metrics.note_phase("srt",
-                                            time.perf_counter() - started)
+                    self._count_seconds("srt", started)
                     self._cache_put("srt", run, benchmark=benchmark,
                                     coverage=coverage)
             self._srt[key] = run
@@ -385,15 +430,12 @@ class ExperimentContext:
             started = time.perf_counter()
             result = self._cache_get(phase, **parts)
             from_cache = result is not None
-            cp_stats = _parallel.CheckpointStats()
-            report = None
             if not from_cache:
                 records = (campaign.records if scheme is None
                            else Campaign.sdc_records(characterization))
                 report = self.supervisor.classify_windows(
                     self.cfg, self.hw, benchmark, scheme, records,
-                    phase=phase, cache=self.cache, ctx=self,
-                    checkpoint_stats=cp_stats)
+                    phase=phase, cache=self.cache, ctx=self)
                 if scheme is None:
                     result = CampaignResult(
                         benchmark, "baseline",
@@ -409,11 +451,8 @@ class ExperimentContext:
                 self.supervisor.journal_cached(
                     phase, benchmark, scheme or "baseline",
                     len(result.records))
-            elapsed = time.perf_counter() - started
-            self.metrics_registry.histogram(
-                "phase_seconds", SECONDS_BUCKETS).observe(elapsed)
-            self._finish_phase(result, phase, from_cache, elapsed,
-                               characterization, cp_stats, report)
+            self._count_seconds(phase, started)
+            self._finish_phase(result, phase, from_cache, characterization)
         return result
 
     def _store_phase(self, phase: str, result: CampaignResult,
@@ -452,8 +491,7 @@ class ExperimentContext:
                 return
             started = time.perf_counter()
             results = self._executor.map(task_fn, jobs_args)
-            self.metrics.note_phase(f"prefetch:{phase}",
-                                    time.perf_counter() - started)
+            self._count_seconds(f"prefetch:{phase}", started)
             for args, result in zip(jobs_args, results):
                 store(args, result)
 
@@ -559,52 +597,36 @@ class ExperimentContext:
                                 from_cache: bool) -> None:
         campaign = self.build_campaign(benchmark)
         campaign.records = characterization.records
-        self._finish_phase(characterization, "characterize", from_cache)
+        self._finish_phase(characterization, "characterize", from_cache,
+                           adopted=True)
         self._campaigns[benchmark] = (campaign, characterization)
 
     def _adopt_coverage(self, benchmark: str, scheme: str,
                         result: CampaignResult, from_cache: bool) -> None:
         _, characterization = self.campaign(benchmark)
         self._finish_phase(result, "coverage", from_cache,
-                           characterization=characterization)
+                           characterization=characterization, adopted=True)
         self._coverage[(benchmark, scheme)] = result
 
     def _finish_phase(self, result: CampaignResult, phase: str,
-                      from_cache: bool, elapsed: Optional[float] = None,
+                      from_cache: bool,
                       characterization: Optional[CampaignResult] = None,
-                      cp_stats=None, report=None) -> None:
+                      adopted: bool = False) -> None:
         """The bookkeeping every materialised phase gets exactly once —
-        computed here, loaded from the cache, or adopted from a
-        :meth:`prefetch` worker: throughput record, window count,
-        quarantine status and audit trail. *elapsed* is None for an
-        adopted phase, which was not timed here."""
+        computed here, loaded from the cache, or *adopted* from a
+        :meth:`prefetch` worker: window count, quarantine status and
+        audit trail."""
         if characterization is not None:
             # re-link to this context's characterisation windows
             result.characterization = characterization.characterization
-        windows = len(result.characterization if phase == "characterize"
-                      else result.coverage_results)
-        cp_stats = cp_stats or _parallel.CheckpointStats()
-        result.throughput = ThroughputRecord(
-            phase=phase, windows=windows, wall_seconds=elapsed or 0.0,
-            jobs=self.jobs, from_cache=from_cache,
-            checkpoints_captured=cp_stats.captured,
-            checkpoint_hits=cp_stats.hits,
-            golden_pass_seconds=cp_stats.golden_pass_seconds,
-            quarantined=len(result.quarantined))
-        if report is not None:
-            result.throughput.retries = report.retries
-            result.throughput.timeouts = report.timeouts
-            result.throughput.pool_rebuilds = report.pool_rebuilds
-            result.throughput.chunks_resumed = report.chunks_resumed
-        elif result.quarantined:
-            # adopted from a prefetch worker whose own supervisor
-            # quarantined windows: this context's supervisor reports them
+        if not from_cache:
+            self.metrics_registry.counter("phase_windows_total").inc(
+                len(result.characterization if phase == "characterize"
+                    else result.coverage_results))
+        if adopted and result.quarantined:
+            # a prefetch worker's own supervisor quarantined windows:
+            # this context's supervisor reports them
             self.supervisor.adopt_quarantine(result.quarantined)
-        counted = 0 if from_cache else windows
-        if elapsed is None:
-            self.metrics.windows += counted
-        else:
-            self.metrics.note_phase(phase, elapsed, windows=counted)
         self._emit_audit(result, phase)
 
     # -- audit trail ------------------------------------------------------
@@ -626,4 +648,4 @@ class ExperimentContext:
 
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "FaultFreeRun",
-           "SCALES", "SCHEMES", "scheme_unit"]
+           "RunSummary", "SCALES", "SCHEMES", "scheme_unit"]

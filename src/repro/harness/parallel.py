@@ -39,7 +39,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -50,40 +50,6 @@ from ..faults.model import FaultRecord
 from ..obs.events import NULL_LOG, WORKER_DIR_ENV, worker_task_span
 from ..obs.metrics import NULL_METRICS, SECONDS_BUCKETS, worker_metrics
 from ..pipeline.checkpoint import CoreCheckpoint
-
-# ----------------------------------------------------------------------
-# instrumentation
-# ----------------------------------------------------------------------
-@dataclass
-class ContextMetrics:
-    """Per-context execution instrumentation (cache traffic, per-phase
-    wall-clock, window throughput) — the evidence behind any claimed
-    speedup."""
-
-    cache_hits: int = 0
-    cache_misses: int = 0
-    windows: int = 0
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def note_phase(self, phase: str, seconds: float,
-                   windows: int = 0) -> None:
-        self.phase_seconds[phase] = (self.phase_seconds.get(phase, 0.0)
-                                     + seconds)
-        self.windows += windows
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.phase_seconds.values())
-
-    def summary(self) -> str:
-        phases = " ".join(f"{name}={seconds:.2f}s" for name, seconds
-                          in sorted(self.phase_seconds.items()))
-        rate = (self.windows / self.total_seconds
-                if self.total_seconds > 0 else 0.0)
-        return (f"cache {self.cache_hits} hits / {self.cache_misses} misses"
-                f" | {self.windows} windows ({rate:.1f}/s)"
-                f" | {phases or 'no phases timed'}")
-
 
 # ----------------------------------------------------------------------
 # pool plumbing
@@ -223,17 +189,23 @@ _WORKER_CONTEXTS: Dict[Tuple[Any, HardwareConfig], Any] = {}
 def _worker_context(cfg, hw: HardwareConfig):
     """A serial, cache-less ExperimentContext private to this worker.
 
-    Memoised per (config, hardware) so consecutive tasks for the same
-    campaign share generated programs; bounded so a long-lived pool
-    cannot accumulate contexts.
+    Its registry is :func:`~repro.obs.metrics.worker_metrics`, which the
+    enclosing :func:`~repro.obs.events.worker_task_span` drains into the
+    worker's event spool. Memoised per (config, hardware) so consecutive
+    tasks for the same campaign share generated programs — rebuilt when
+    that registry changed (a context memoised in the parent, where
+    worker metrics are off, is inherited by forked workers); bounded so
+    a long-lived pool cannot accumulate contexts.
     """
     from .experiment import ExperimentContext    # local: avoid cycle
     key = (cfg, hw)
+    metrics = worker_metrics()
     ctx = _WORKER_CONTEXTS.get(key)
-    if ctx is None:
+    if ctx is None or ctx.metrics_registry is not metrics:
         if len(_WORKER_CONTEXTS) >= 4:
             _WORKER_CONTEXTS.clear()
-        ctx = ExperimentContext(cfg, hw, jobs=1, cache=None)
+        ctx = ExperimentContext(cfg, hw, jobs=1, cache=None,
+                                metrics=metrics)
         _WORKER_CONTEXTS[key] = ctx
     return ctx
 
@@ -276,11 +248,9 @@ def coverage_task(args) -> CampaignResult:
 # ----------------------------------------------------------------------
 @dataclass
 class CheckpointStats:
-    """Dispatcher-side checkpoint instrumentation for one fan-out (feeds
-    :class:`~repro.faults.campaign.ThroughputRecord`)."""
+    """One golden pass's throughput: the supervisor watchdog's evidence
+    for its per-window deadline estimate."""
 
-    captured: int = 0
-    hits: int = 0
     golden_pass_seconds: float = 0.0
     #: windows the pass stepped the golden core through (cache hits
     #: step none) — the denominator of the watchdog's per-window estimate
@@ -332,7 +302,8 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
     updated before each yield; only time spent inside the pass counts
     toward ``golden_pass_seconds``, not time the consumer spends between
     boundaries. The live golden core is dropped before the last boundary
-    is yielded.
+    is yielded. Hits and captures count into *ctx*'s registry as they
+    happen.
     """
     events = events if events is not None else NULL_LOG
     stats = stats if stats is not None else CheckpointStats()
@@ -346,11 +317,10 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
     classifier = campaign.classifier(factory)
     records = list(records)
     label = scheme or "baseline"
-    metrics = getattr(ctx, "metrics_registry", NULL_METRICS)
+    metrics = ctx.metrics_registry
     golden = None       # live core, advanced through records[:golden_at]
     golden_at = 0
     base: Optional[CoreCheckpoint] = None   # nearest cached boundary
-    captured_before, hits_before = stats.captured, stats.hits
     elapsed = 0.0
     for index, (lo, _hi) in enumerate(bounds):
         started = time.perf_counter()
@@ -362,7 +332,7 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
             events.cache_event("checkpoint", key,
                                hit=checkpoint is not None)
         if checkpoint is not None:
-            stats.hits += 1
+            metrics.counter("checkpoint_hits_total").inc()
             events.emit("checkpoint", action="hit", window=lo,
                         benchmark=benchmark, scheme=label,
                         bytes=checkpoint.nbytes,
@@ -394,7 +364,7 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                 resume = records[lo - 1].inject_at_commit if lo else 0
                 checkpoint = CoreCheckpoint.capture(
                     golden, window_index=lo, resume_at_commit=resume)
-            stats.captured += 1
+            metrics.counter("checkpoints_captured_total").inc()
             events.emit("checkpoint", action="capture", window=lo,
                         benchmark=benchmark, scheme=label,
                         bytes=checkpoint.nbytes,
@@ -421,13 +391,8 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
             # the pass is over: release the live golden core before the
             # consumer runs the last chunks, and record the pass
             golden = base = None
-            if metrics.enabled:
-                metrics.histogram("golden_pass_seconds",
-                                  SECONDS_BUCKETS).observe(elapsed)
-                metrics.counter("checkpoints_captured_total").inc(
-                    stats.captured - captured_before)
-                metrics.counter("checkpoint_hits_total").inc(
-                    stats.hits - hits_before)
+            metrics.histogram("golden_pass_seconds",
+                              SECONDS_BUCKETS).observe(elapsed)
         yield checkpoint
 
 
@@ -449,10 +414,7 @@ def window_chunk_task(args) -> List[WindowResult]:
             factory = campaign.baseline_factory
         else:
             factory = lambda: ctx.make_core(benchmark, scheme)
-        # worker_metrics() is the per-process accumulator, drained into
-        # the worker's event spool by the enclosing worker_task_span
-        classifier = campaign.classifier(factory,
-                                         metrics=worker_metrics())
+        classifier = campaign.classifier(factory)
         with worker_task_span("checkpoint:restore",
                               window=checkpoint.window_index,
                               bytes=checkpoint.nbytes):
@@ -468,7 +430,6 @@ def window_chunk_task(args) -> List[WindowResult]:
 
 __all__ = [
     "CheckpointStats",
-    "ContextMetrics",
     "ParallelExecutor",
     "align_chunk_bounds",
     "chunk_bounds",

@@ -15,8 +15,8 @@ protection:
   up to ``max_retries`` times on a rebuilt pool; every attempt is
   recorded as a ``supervisor`` event in :mod:`repro.obs`;
 - **watchdog timeouts** — each chunk gets a soft deadline derived from
-  the golden-pass throughput estimate (the same numbers that feed
-  :class:`~repro.faults.campaign.ThroughputRecord`), tightened by the
+  the golden pass's seconds per window stepped
+  (:class:`~repro.harness.parallel.CheckpointStats`), tightened by the
   hard ``chunk_timeout`` when one is configured; a chunk past its
   deadline is cancelled (the pool is torn down) and retried with an
   escalated deadline;
@@ -473,13 +473,9 @@ class Supervisor:
     def classify_windows(self, cfg, hw, benchmark: str,
                          scheme: Optional[str],
                          records: Sequence[FaultRecord], *, phase: str,
-                         cache=None, ctx=None,
-                         checkpoint_stats=None) -> PhaseReport:
+                         cache=None, ctx=None) -> PhaseReport:
         """Classify *records* under supervision; positionally identical
-        to ``classifier.run(records)`` minus any quarantined windows.
-        *checkpoint_stats*, if given, receives this phase's golden-pass
-        counts; pass a fresh one per phase, since the watchdog's
-        per-window estimate reads it."""
+        to ``classifier.run(records)`` minus any quarantined windows."""
         jobs = self.jobs or 1
         records = list(records)
         label = scheme or "baseline"
@@ -489,8 +485,6 @@ class Supervisor:
                            digest=config_digest(cfg, hw),
                            plan_digest=self._keyer.key("plan",
                                                        records=records))
-        if checkpoint_stats is not None:
-            phase_ctx.golden = checkpoint_stats
         report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label)
         self.reports.append(report)
         if not records:

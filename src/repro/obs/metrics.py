@@ -11,10 +11,12 @@ Three instrument kinds, mirroring the Prometheus data model:
   registration* so snapshots from different processes merge with plain
   element-wise addition and aggregates compare with ``==``.
 
-The registry follows the ``NULL_LOG`` pattern exactly: call sites hold
+The registry follows the ``NULL_LOG`` pattern: call sites hold
 :data:`NULL_METRICS` (a shared no-op singleton) when telemetry is off,
 so the instrumented hot paths cost one attribute call that does
-nothing. Fork-safety reuses the worker-spool design of
+nothing. An experiment context's registry is live unless its caller
+passes :data:`NULL_METRICS`: it is the one count of the context's
+execution facts. Fork-safety reuses the worker-spool design of
 :mod:`repro.obs.events`: pool workers accumulate into a private
 module-level registry (:func:`worker_metrics`) that
 :func:`repro.obs.events.worker_task_span` drains into the worker's

@@ -20,8 +20,7 @@ from repro.faults.model import FaultClass
 from repro.harness import parallel as parallel_module
 from repro.harness.cache import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
-from repro.harness.parallel import (CheckpointStats, chunk_bounds,
-                                    window_chunk_task)
+from repro.harness.parallel import chunk_bounds, window_chunk_task
 from repro.isa.opcodes import OpClass
 from repro.pipeline import (CoreCheckpoint, capture_checkpoint,
                             restore_checkpoint)
@@ -345,10 +344,11 @@ class TestFourPathEquivalence:
         # cold: the supervised pool captures checkpoints, persists them
         cold = ExperimentContext(_TINY, jobs=3, cache=cache)
         _, cold_char = cold.campaign("mcf")
+        counts = cold.metrics_registry.snapshot()
         cold_cov = cold.coverage("mcf", "faulthound")
-        assert cold_char.throughput.checkpoints_captured > 0
-        assert cold_char.throughput.checkpoint_hits == 0
-        assert cold_char.throughput.golden_pass_seconds > 0
+        assert counts["counters"]["checkpoints_captured_total"] > 0
+        assert "checkpoint_hits_total" not in counts["counters"]
+        assert counts["histograms"]["golden_pass_seconds"]["sum"] > 0
 
         # warm: drop the campaign artefacts but keep the checkpoints, so
         # classification re-runs with zero golden stepping
@@ -356,9 +356,10 @@ class TestFourPathEquivalence:
             shutil.rmtree(pathlib.Path(tmp_path) / kind)
         warm = ExperimentContext(_TINY, jobs=3, cache=ArtifactCache(tmp_path))
         _, warm_char = warm.campaign("mcf")
+        counts = warm.metrics_registry.snapshot()["counters"]
         warm_cov = warm.coverage("mcf", "faulthound")
-        assert warm_char.throughput.checkpoint_hits > 0
-        assert warm_char.throughput.checkpoints_captured == 0
+        assert counts["checkpoint_hits_total"] > 0
+        assert "checkpoints_captured_total" not in counts
 
         # checkpointed-serial: classify straight from a restored boundary
         ctx = ExperimentContext(_TINY, jobs=1)
@@ -404,20 +405,24 @@ class TestFourPathEquivalence:
         ctx = ExperimentContext(_TINY, jobs=2, cache=cache)
         campaign = ctx.build_campaign("mcf")
 
-        def classify(stats):
+        def classify():
+            """(captured, hits) this classification added to the
+            context's registry."""
+            def counts():
+                counters = ctx.metrics_registry.snapshot()["counters"]
+                return (counters.get("checkpoints_captured_total", 0),
+                        counters.get("checkpoint_hits_total", 0))
+
+            before = counts()
             ctx.supervisor.classify_windows(
                 _TINY, ctx.hw, "mcf", None,
                 [r.fresh_copy() for r in campaign.records],
-                phase="characterize", cache=cache, ctx=ctx,
-                checkpoint_stats=stats)
+                phase="characterize", cache=cache, ctx=ctx)
+            return tuple(b - a for a, b in zip(before, counts()))
 
-        stats = CheckpointStats()
-        classify(stats)
+        captured, hits = classify()
         planned = ctx.supervisor._chunk_gaps(
             [(0, len(campaign.records))], 2, campaign.records)
-        assert stats.captured == len(planned) > 1
-        assert stats.hits == 0
-        rerun = CheckpointStats()
-        classify(rerun)
-        assert rerun.captured == 0
-        assert rerun.hits == stats.captured
+        assert captured == len(planned) > 1
+        assert hits == 0
+        assert classify() == (0, captured)

@@ -6,6 +6,7 @@ cache hit) yields bit-for-bit identical campaign results.
 """
 
 import pathlib
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.harness.cache import ArtifactCache, code_version_salt
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
 from repro.faults.model import FaultRecord, FaultSite
 from repro.harness.parallel import align_chunk_bounds, chunk_bounds
+from repro.obs import MetricsRegistry
 
 _TINY = ExperimentConfig(benchmarks=("mcf",), dynamic_target=3_000,
                          num_faults=10, warmup_commits=200,
@@ -64,13 +66,15 @@ class TestArtifactCache:
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
+        cache.metrics = MetricsRegistry()
         key = cache.key("srt", benchmark="mcf")
         cache.put("srt", key, [1, 2, 3])
         path = tmp_path / "srt" / f"{key}.pkl"
         path.write_bytes(b"not a pickle")
         assert cache.get("srt", key) is None
         assert not path.exists()       # dropped so the rewrite starts clean
-        assert cache.misses == 1
+        counters = cache.metrics.snapshot()["counters"]
+        assert counters["cache_corrupt_total"] == 1
 
     def test_verify_quarantines_corrupt_entries(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -253,8 +257,10 @@ class TestParallelEquivalence:
         warm_cov = warm.coverage("mcf", "faulthound")
         assert warm.metrics.cache_hits > 0
         assert warm.metrics.cache_misses == 0
-        assert warm_char.throughput.from_cache
-        assert warm_cov.throughput.from_cache
+        # both phases came from the cache: the context classified none
+        assert warm.metrics.windows == 0
+        assert warm.metrics_registry.snapshot()["counters"].get(
+            "classifier_windows_total", 0) == 0
         assert warm_char.characterization == serial_char.characterization
         assert warm_cov.coverage_results == serial_cov.coverage_results
         assert warm_cov.outcomes == serial_cov.outcomes
@@ -269,7 +275,7 @@ class TestParallelEquivalence:
         assert warm.metrics.cache_hits == 1
 
 
-class TestContextMetrics:
+class TestRunSummary:
     def test_prefetch_counts_every_classified_window(self):
         """Phases adopted from prefetch workers count their windows once,
         exactly like phases classified in the parent."""
@@ -284,3 +290,31 @@ class TestContextMetrics:
         assert len(coverage.coverage_results) > 0
         assert ctx.metrics.windows == (len(characterization.characterization)
                                        + len(coverage.coverage_results))
+
+    @pytest.mark.parametrize("jobs, cold, warm", [
+        (1, "cache 0 hits / 4 misses | 24 windows (T/s)"
+            " | characterize=Ts coverage=Ts",
+         "cache 4 hits / 0 misses | 0 windows (T/s)"
+         " | characterize=Ts coverage=Ts"),
+        (2, "cache 0 hits / 4 misses | 24 windows (T/s)"
+            " | prefetch:characterize=Ts prefetch:coverage=Ts",
+         "cache 4 hits / 0 misses | 0 windows (T/s) | no phases timed"),
+    ])
+    def test_summary_line(self, jobs, cold, warm, tmp_path):
+        """The stderr summary line's counts, seconds masked: artefact
+        cache gets only (each phase's checkpoint traffic excluded), and
+        windows materialised here, not loaded from the cache."""
+        cfg = ExperimentConfig(benchmarks=("mcf", "bzip2"),
+                               dynamic_target=2_200, num_faults=10,
+                               warmup_commits=400, window_commits=150)
+        cache = ArtifactCache(tmp_path)
+
+        def summary():
+            ctx = ExperimentContext(cfg, jobs=jobs, cache=cache)
+            ctx.prefetch(campaigns=True, coverage=("faulthound",))
+            for benchmark in cfg.benchmarks:
+                ctx.coverage(benchmark, "faulthound")
+            return re.sub(r"\d+\.\d+", "T", ctx.metrics.summary())
+
+        assert summary() == cold
+        assert summary() == warm

@@ -208,6 +208,30 @@ class TestWorkerMetrics:
         assert (merged["counters"]["classifier_windows_total"]
                 == _TINY.num_faults)
 
+    def test_prefetch_workers_count_like_the_serial_run(self, tmp_path):
+        """Campaigns that prefetch workers classify in their private
+        contexts reach the event log's merged snapshot with the same
+        classifier and supervisor window counts as a serial run."""
+        cfg = ExperimentConfig(benchmarks=("mcf", "bzip2"),
+                               dynamic_target=2_200, num_faults=10,
+                               warmup_commits=400, window_commits=150)
+
+        def merged(jobs):
+            log = EventLog(tmp_path / f"events-{jobs}.jsonl")
+            ctx = ExperimentContext(cfg, jobs=jobs, events=log,
+                                    metrics=MetricsRegistry())
+            ctx.prefetch(campaigns=True, coverage=("faulthound",))
+            for benchmark in cfg.benchmarks:
+                ctx.coverage(benchmark, "faulthound")
+            ctx.metrics_registry.emit(log)
+            log.close()
+            return snapshot_from_events(read_events(log.path))["counters"]
+
+        serial, parallel = merged(1), merged(2)
+        for name in ("classifier_windows_total",
+                     "supervisor_windows_done_total"):
+            assert parallel.get(name) == serial[name] > 0, name
+
 
 # ----------------------------------------------------------------------
 # Prometheus exposition
@@ -257,6 +281,6 @@ class TestBitForBit:
                     sorted((i, o.value)
                            for i, o in coverage.outcomes.items()))
 
-        plain = outcomes(None)                 # NULL registry path
+        plain = outcomes(NULL_METRICS)         # metrics off
         instrumented = outcomes(MetricsRegistry())
         assert plain == instrumented

@@ -164,9 +164,12 @@ class TestSupervisedEquivalence:
         assert characterization.characterization == s_char.characterization
         assert coverage.coverage_results == s_cov.coverage_results
         assert sup.status == "complete" and sup.exit_code == 0
-        # supervisor instrumentation reaches the throughput record
-        assert characterization.throughput.retries == 0
-        assert characterization.throughput.quarantined == 0
+        # the supervisor reports the characterisation phase clean
+        report = sup.reports[0]
+        assert report.phase == "characterize"
+        assert report.retries == 0
+        assert report.quarantined == []
+        assert characterization.quarantined == []
         records = list(CampaignJournal.read(tmp_path / "run"))
         types = [r["type"] for r in records]
         assert "plan" in types and "chunk_done" in types
@@ -259,7 +262,9 @@ class TestQuarantine:
                     if i != 4]
         assert characterization.characterization == expected
         assert characterization.quarantined == sup.quarantined
-        assert characterization.throughput.quarantined == 1
+        assert len(characterization.quarantined) == 1
+        assert ctx.metrics_registry.snapshot()["counters"][
+            "supervisor_quarantined_total"] == 1
         # the quarantine is journalled, and the journal is its one record
         assert not (run_dir / "poisoned.jsonl").exists()
         summary = _assert_status_matches(run_dir, sup.reports)
@@ -465,7 +470,9 @@ class TestDownshiftLadder:
         for benchmark in cfg.benchmarks:
             _, characterization = ctx.campaign(benchmark)
             assert [q.index for q in characterization.quarantined] == [0]
-            assert characterization.throughput.quarantined == 1
+        # the parent's supervisor counts each worker's quarantine once
+        assert ctx.metrics_registry.snapshot()["counters"][
+            "supervisor_quarantined_total"] == len(cfg.benchmarks)
         assert ctx.supervisor.status == "complete-with-quarantine"
         assert sorted(q.benchmark for q in ctx.supervisor.quarantined
                       if q.phase == "characterize") == ["bzip2", "mcf"]

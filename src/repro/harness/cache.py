@@ -103,7 +103,6 @@ class ArtifactCache:
     def __init__(self, root: str | os.PathLike | None = None, events=None):
         self.root = pathlib.Path(root) if root else default_cache_root()
         self.events = events if events is not None else NULL_LOG
-        self.metrics = NULL_METRICS
 
     @classmethod
     def default(cls, events=None) -> "ArtifactCache":
@@ -133,10 +132,13 @@ class ArtifactCache:
         return self._path(kind, key).exists()
 
     # -- access --------------------------------------------------------
-    def get(self, kind: str, key: str) -> Optional[Any]:
+    def get(self, kind: str, key: str,
+            metrics=NULL_METRICS) -> Optional[Any]:
         """The cached artefact, or ``None`` on a miss. Hits and misses
         are counted by the caller, which knows what the artefact is for
-        (an experiment artefact or a chunk-boundary checkpoint)."""
+        (an experiment artefact or a chunk-boundary checkpoint); corrupt
+        entries and loaded bytes count into the caller's *metrics* — a
+        cache shared by several contexts has no registry of its own."""
         path = self._path(kind, key)
         try:
             with open(path, "rb") as handle:
@@ -145,7 +147,7 @@ class ArtifactCache:
                 ImportError, ValueError) as exc:
             if path.exists():
                 # corrupt entry: drop it so the rewrite starts clean
-                self.metrics.counter("cache_corrupt_total").inc()
+                metrics.counter("cache_corrupt_total").inc()
                 self.events.emit("cache_corrupt", kind=kind, key=key,
                                  path=str(path), action="dropped",
                                  error=f"{type(exc).__name__}: {exc}")
@@ -154,17 +156,19 @@ class ArtifactCache:
                 except OSError:
                     pass
             return None
-        if self.metrics.enabled:
+        if metrics.enabled:
             try:
-                self.metrics.histogram(
+                metrics.histogram(
                     "cache_artifact_bytes",
                     BYTES_BUCKETS).observe(path.stat().st_size)
             except OSError:
                 pass
         return artefact
 
-    def put(self, kind: str, key: str, artefact: Any) -> bool:
+    def put(self, kind: str, key: str, artefact: Any,
+            metrics=NULL_METRICS) -> bool:
         """Persist *artefact* atomically and durably; False on failure.
+        A put and its bytes count into the caller's *metrics*.
 
         The tmp file is flushed and fsync'd before ``os.replace`` so
         the rename never publishes an entry whose bytes are still in
@@ -208,10 +212,10 @@ class ArtifactCache:
                 raise
         except (OSError, pickle.PicklingError, TypeError):
             return False
-        if self.metrics.enabled:
-            self.metrics.counter("cache_puts_total").inc()
+        if metrics.enabled:
+            metrics.counter("cache_puts_total").inc()
             try:
-                self.metrics.histogram(
+                metrics.histogram(
                     "cache_artifact_bytes",
                     BYTES_BUCKETS).observe(path.stat().st_size)
             except OSError:

@@ -30,7 +30,7 @@ from ..faults import Campaign, CampaignResult
 from ..analysis.metrics import fp_rate
 from ..obs.audit import audit_records
 from ..obs.events import NULL_LOG
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..pipeline import PipelineCore
 from ..redundancy import dynamic_length, srt_iso_core
@@ -178,6 +178,60 @@ class FaultFreeRun:
     ipc: float
 
 
+#: Cycle budgets of a fault-free run: to reach the warm-up mark (the
+#: default of ``PipelineCore.run_until_commits``), then to halt, counted
+#: from the mark. SRT-iso runs get the second.
+WARMUP_CYCLES = 2_000_000
+FAULT_FREE_CYCLES = 8_000_000
+
+
+class _WarmupMark:
+    """Where a fault-free run's steady state begins: the screening unit's
+    action counts, the commits and the cycle at the end of the first
+    cycle whose all-thread commits reach *commits* — where
+    ``run_until_commits(commits)`` stops a fresh core.
+
+    :meth:`watch` records the mark from inside whatever else drives the
+    core (a coverage phase's windows), by shadowing ``step`` on the core
+    instance; the run drivers bind ``step`` once per loop, so the shadow
+    may run on after it removed itself, and it records only once.
+    """
+
+    __slots__ = ("core", "commits", "actions", "committed", "cycle")
+
+    def __init__(self, core: PipelineCore, commits: int):
+        self.core = core
+        self.commits = commits
+        self.actions: Optional[Dict[Any, int]] = None
+        self.committed = 0
+        self.cycle = 0
+
+    def _record(self) -> None:
+        core = self.core
+        self.actions = dict(core.screening.action_counts)
+        self.committed = core.stats.committed
+        self.cycle = core.cycle
+
+    def _step(self) -> None:
+        core = self.core
+        PipelineCore.step(core)
+        if self.actions is None and core.stats.committed >= self.commits:
+            self._record()
+            core.__dict__.pop("step", None)
+
+    def watch(self) -> None:
+        self.core.step = self._step
+
+    def reach(self) -> None:
+        """Stop watching; step the core to the mark unless it has passed
+        it already."""
+        self.core.__dict__.pop("step", None)
+        if self.actions is None:
+            self.core.run_to_commit(self.commits,
+                                    WARMUP_CYCLES - self.core.cycle)
+            self._record()
+
+
 class ExperimentContext:
     """Caches programs, runs and campaigns across figure regenerations.
 
@@ -221,8 +275,6 @@ class ExperimentContext:
                              metrics=self.metrics_registry)
         if cache is not None and cache.events is NULL_LOG:
             cache.events = self.events
-        if cache is not None and cache.metrics is NULL_METRICS:
-            cache.metrics = self.metrics_registry
         self._executor = ParallelExecutor(self.jobs, events=self.events,
                                           metrics=self.metrics_registry)
         self._programs: Dict[str, List] = {}
@@ -232,22 +284,24 @@ class ExperimentContext:
         self._campaigns: Dict[str, Tuple[Campaign, CampaignResult]] = {}
         self._coverage: Dict[Tuple[str, str], CampaignResult] = {}
         self._energy_model = EnergyModel()
+        #: True in a prefetch worker's private context: the parent that
+        #: adopts the phases it returns counts their windows, once.
+        self.prefetch_worker = False
 
     @property
     def metrics(self) -> RunSummary:
         """A read-only summary of :attr:`metrics_registry`, as it stands."""
         return RunSummary.of(self.metrics_registry.snapshot())
 
-    def _count_seconds(self, phase: str, started: float) -> None:
-        self.metrics_registry.counter(PHASE_SECONDS + phase).inc(
-            time.perf_counter() - started)
+    def _count_seconds(self, phase: str, seconds: float) -> None:
+        self.metrics_registry.counter(PHASE_SECONDS + phase).inc(seconds)
 
     # -- persistent cache plumbing ---------------------------------------
     def _cache_get(self, kind: str, **parts: Any):
         if self.cache is None:
             return None
         key = self.cache.key(kind, cfg=self.cfg, hw=self.hw, **parts)
-        artefact = self.cache.get(kind, key)
+        artefact = self.cache.get(kind, key, self.metrics_registry)
         hit = artefact is not None
         self.metrics_registry.counter(
             "cache_hits_total" if hit else "cache_misses_total").inc()
@@ -258,7 +312,7 @@ class ExperimentContext:
         if self.cache is None:
             return
         key = self.cache.key(kind, cfg=self.cfg, hw=self.hw, **parts)
-        if self.cache.put(kind, key, artefact):
+        if self.cache.put(kind, key, artefact, self.metrics_registry):
             # provenance next to the artefact: which exact configuration
             # and code version produced this cache entry
             manifest = build_manifest(kind, self.cfg, self.hw, parts=parts,
@@ -287,6 +341,12 @@ class ExperimentContext:
 
     # -- fault-free timing/energy runs -----------------------------------
     def fault_free(self, benchmark: str, scheme: str) -> FaultFreeRun:
+        """The fault-free run of (*benchmark*, *scheme*), memoised.
+
+        When *scheme* is screened, the benchmark's characterisation is in
+        the memo and the scheme's coverage phase is not, one trajectory
+        serves both (:meth:`run_fault_free`): the coverage phase comes
+        back too and is memoised with the run."""
         key = (benchmark, scheme)
         if key not in self._fault_free:
             with self.events.span("phase:fault_free", benchmark=benchmark,
@@ -294,34 +354,68 @@ class ExperimentContext:
                 run = self._cache_get("fault_free", benchmark=benchmark,
                                       scheme=scheme)
                 if run is None:
-                    started = time.perf_counter()
-                    run = self._run_fault_free(benchmark, scheme)
-                    self._count_seconds("fault_free", started)
+                    characterization = None
+                    if (scheme != "baseline" and benchmark in self._campaigns
+                            and key not in self._coverage):
+                        characterization = self._campaigns[benchmark][1]
+                    run, coverage = self.run_fault_free(benchmark, scheme,
+                                                        characterization)
+                    if coverage is not None:
+                        self._coverage[key] = coverage
                     self._cache_put("fault_free", run, benchmark=benchmark,
                                     scheme=scheme)
             self._fault_free[key] = run
         return self._fault_free[key]
 
-    def _run_fault_free(self, benchmark: str, scheme: str) -> FaultFreeRun:
+    def run_fault_free(self, benchmark: str, scheme: str,
+                       characterization: Optional[CampaignResult] = None
+                       ) -> Tuple[FaultFreeRun, Optional[CampaignResult]]:
+        """One fault-free run, unmemoised, and its seconds counted.
+
+        Given *benchmark*'s *characterization*, the run's core is also the
+        golden core of *scheme*'s coverage phase (:meth:`run_phase`'s
+        route: artifact cache, supervisor, journal, counts and audit): it
+        classifies the phase's windows on its way to halt, and the phase
+        comes back as the second item (else None). A coverage phase
+        replays its windows along exactly this trajectory, so the run is
+        the one a bare core would give; when the supervisor does not hand
+        the core back (a chunk failed, or chunks were resumed from the
+        journal) the run is made again on a fresh one. The
+        phase's own seconds count as ``coverage``, not ``fault_free``.
+        """
+        started = time.perf_counter()
+        nested = 0.0
         core = self.make_core(benchmark, scheme)
-        # Warm caches, predictors and filters, then measure the
-        # false-positive rate over the steady-state region only.
-        warm_total = self.cfg.warmup_commits * len(core.threads)
-        core.run_until_commits(warm_total)
+        # the false-positive rate covers the steady state only, once
+        # caches, predictors and filters are warm
+        mark = _WarmupMark(core, self.cfg.warmup_commits * len(core.threads))
+        coverage = None
+        if characterization is not None:
+            # the invariant sanitizer the classifier arms pops any `step`
+            # shadow: arm it first, then watch for the warm-up mark
+            core.enable_sanitizer(every=0)
+            mark.watch()
+            phase_started = time.perf_counter()
+            coverage, golden = self._run_phase(
+                self.build_campaign(benchmark), scheme, characterization,
+                golden=core)
+            nested = time.perf_counter() - phase_started
+            if golden is None:
+                core = self.make_core(benchmark, scheme)
+                mark = _WarmupMark(core, mark.commits)
+        mark.reach()
+        core.run(max_cycles=mark.cycle + FAULT_FREE_CYCLES - core.cycle)
         unit = core.screening
-        checks_before = dict(unit.action_counts)
-        committed_before = core.stats.committed
-        core.run(max_cycles=8_000_000)
-        steady_committed = core.stats.committed - committed_before
+        steady_committed = core.stats.committed - mark.committed
         from ..core.actions import CheckAction
         steady_actions = sum(
-            unit.action_counts[a] - checks_before.get(a, 0)
+            unit.action_counts[a] - mark.actions.get(a, 0)
             for a in (CheckAction.REPLAY, CheckAction.SQUASH,
                       CheckAction.SINGLETON))
         rate = (steady_actions / steady_committed
                 if steady_committed else 0.0)
         core.record_metrics(self.metrics_registry)
-        return FaultFreeRun(
+        run = FaultFreeRun(
             benchmark=benchmark, scheme=scheme,
             cycles=core.stats.cycles, committed=core.stats.committed,
             fp_rate=rate, energy=self._energy_model.compute(core),
@@ -330,6 +424,9 @@ class ExperimentContext:
             singleton_reexecs=core.stats.singleton_reexecs,
             branch_mispredicts=core.stats.branch_mispredicts,
             ipc=core.stats.ipc)
+        self._count_seconds("fault_free",
+                            time.perf_counter() - started - nested)
+        return run, coverage
 
     # -- SRT-iso ----------------------------------------------------------
     @staticmethod
@@ -356,7 +453,7 @@ class ExperimentContext:
                 if run is None:
                     started = time.perf_counter()
                     run = self._run_srt(benchmark, coverage)
-                    self._count_seconds("srt", started)
+                    self._count_seconds("srt", time.perf_counter() - started)
                     self._cache_put("srt", run, benchmark=benchmark,
                                     coverage=coverage)
             self._srt[key] = run
@@ -366,7 +463,7 @@ class ExperimentContext:
         core = srt_iso_core(self.programs(benchmark), hw=self.hw,
                             coverage=coverage,
                             lengths=self.lengths(benchmark))
-        core.run(max_cycles=8_000_000)
+        core.run(max_cycles=FAULT_FREE_CYCLES)
         core.record_metrics(self.metrics_registry)
         return FaultFreeRun(
             benchmark=benchmark, scheme=f"srt-iso@{round(coverage, 3)}",
@@ -421,6 +518,15 @@ class ExperimentContext:
         *campaign*'s fault plan (*scheme* None) or *scheme*'s coverage of
         *characterization*'s SDC faults — from the artifact cache when it
         holds the phase, else classified by the supervisor."""
+        return self._run_phase(campaign, scheme, characterization)[0]
+
+    def _run_phase(self, campaign: Campaign, scheme: Optional[str],
+                   characterization: Optional[CampaignResult] = None,
+                   golden: Optional[PipelineCore] = None
+                   ) -> Tuple[CampaignResult, Optional[PipelineCore]]:
+        """:meth:`run_phase`, with *golden* handed to the supervisor
+        (:meth:`Supervisor.classify_windows`) and handed back: the
+        phase's result, and the core while still on its trajectory."""
         benchmark = campaign.benchmark
         phase = "characterize" if scheme is None else "coverage"
         parts = dict(benchmark=benchmark)
@@ -435,7 +541,8 @@ class ExperimentContext:
                            else Campaign.sdc_records(characterization))
                 report = self.supervisor.classify_windows(
                     self.cfg, self.hw, benchmark, scheme, records,
-                    phase=phase, cache=self.cache, ctx=self)
+                    phase=phase, cache=self.cache, ctx=self, golden=golden)
+                golden, report.golden = report.golden, None
                 if scheme is None:
                     result = CampaignResult(
                         benchmark, "baseline",
@@ -451,9 +558,9 @@ class ExperimentContext:
                 self.supervisor.journal_cached(
                     phase, benchmark, scheme or "baseline",
                     len(result.records))
-            self._count_seconds(phase, started)
+            self._count_seconds(phase, time.perf_counter() - started)
             self._finish_phase(result, phase, from_cache, characterization)
-        return result
+        return result, golden
 
     def _store_phase(self, phase: str, result: CampaignResult,
                      characterization: Optional[CampaignResult] = None,
@@ -479,6 +586,12 @@ class ExperimentContext:
         compute concurrently; the figure logic then proceeds through the
         warm in-memory caches unchanged. With ``jobs=1`` this is a no-op
         — the pull path computes identical artefacts on demand.
+
+        Characterisations go first. Then each (benchmark, scheme) gets
+        one task: a screened pair missing both its fault-free run and its
+        coverage phase runs them as one trajectory
+        (:meth:`run_fault_free`), so no worker classifies a coverage
+        phase that another task, or the parent, computes again.
         """
         if self.jobs <= 1:
             return
@@ -491,31 +604,10 @@ class ExperimentContext:
                 return
             started = time.perf_counter()
             results = self._executor.map(task_fn, jobs_args)
-            self._count_seconds(f"prefetch:{phase}", started)
+            self._count_seconds(f"prefetch:{phase}",
+                                time.perf_counter() - started)
             for args, result in zip(jobs_args, results):
                 store(args, result)
-
-        # fault-free timing/energy runs
-        todo = []
-        for scheme in fault_free:
-            for benchmark in benchmarks:
-                if (benchmark, scheme) in self._fault_free:
-                    continue
-                run = self._cache_get("fault_free", benchmark=benchmark,
-                                      scheme=scheme)
-                if run is not None:
-                    self._fault_free[(benchmark, scheme)] = run
-                else:
-                    todo.append((cfg, hw, benchmark, scheme))
-
-        def store_fault_free(args: Tuple, run: FaultFreeRun) -> None:
-            _, _, benchmark, scheme = args
-            self._fault_free[(benchmark, scheme)] = run
-            self._cache_put("fault_free", run, benchmark=benchmark,
-                            scheme=scheme)
-
-        fan_out("fault_free", _parallel.fault_free_task, todo,
-                store_fault_free)
 
         # characterisation campaigns
         need_campaigns = (campaigns or bool(coverage)
@@ -545,8 +637,20 @@ class ExperimentContext:
             fan_out("characterize", _parallel.characterize_task, todo,
                     store_campaign)
 
-        # coverage phases (needs characterisations, computed above)
-        todo = []
+        # what the memo and the artifact cache lack of the fault-free
+        # runs and coverage phases (cache hits are adopted on the way)
+        runs: List[Tuple[str, str]] = []
+        for scheme in fault_free:
+            for benchmark in benchmarks:
+                if (benchmark, scheme) in self._fault_free:
+                    continue
+                run = self._cache_get("fault_free", benchmark=benchmark,
+                                      scheme=scheme)
+                if run is not None:
+                    self._fault_free[(benchmark, scheme)] = run
+                else:
+                    runs.append((benchmark, scheme))
+        phases: List[Tuple[str, str]] = []
         for scheme in coverage:
             for benchmark in benchmarks:
                 if (benchmark, scheme) in self._coverage:
@@ -557,9 +661,36 @@ class ExperimentContext:
                     self._adopt_coverage(benchmark, scheme, cached,
                                          from_cache=True)
                 else:
-                    _, characterization = self.campaign(benchmark)
-                    todo.append((cfg, hw, benchmark, scheme,
-                                 characterization))
+                    phases.append((benchmark, scheme))
+
+        # fault-free runs, each classifying its coverage phase on the way
+        # when that is missing too
+        joint = {pair for pair in set(runs) & set(phases)
+                 if pair[1] != "baseline"}
+        todo = [(cfg, hw, benchmark, scheme,
+                 self.campaign(benchmark)[1] if (benchmark, scheme) in joint
+                 else None)
+                for benchmark, scheme in runs]
+
+        def store_fault_free(args: Tuple, result: Tuple) -> None:
+            _, _, benchmark, scheme, characterization = args
+            run, phase = result
+            self._fault_free[(benchmark, scheme)] = run
+            self._cache_put("fault_free", run, benchmark=benchmark,
+                            scheme=scheme)
+            if phase is not None:
+                self._store_phase("coverage", phase, characterization,
+                                  benchmark=benchmark, scheme=scheme)
+                self._adopt_coverage(benchmark, scheme, phase,
+                                     from_cache=False)
+
+        fan_out("fault_free", _parallel.fault_free_task, todo,
+                store_fault_free)
+
+        # the coverage phases left over
+        todo = [(cfg, hw, benchmark, scheme, self.campaign(benchmark)[1])
+                for benchmark, scheme in phases
+                if (benchmark, scheme) not in joint]
 
         def store_coverage(args: Tuple, result: CampaignResult) -> None:
             _, _, benchmark, scheme, characterization = args
@@ -619,7 +750,7 @@ class ExperimentContext:
         if characterization is not None:
             # re-link to this context's characterisation windows
             result.characterization = characterization.characterization
-        if not from_cache:
+        if not from_cache and not self.prefetch_worker:
             self.metrics_registry.counter("phase_windows_total").inc(
                 len(result.characterization if phase == "characterize"
                     else result.coverage_results))

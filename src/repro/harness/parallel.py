@@ -206,6 +206,7 @@ def _worker_context(cfg, hw: HardwareConfig):
             _WORKER_CONTEXTS.clear()
         ctx = ExperimentContext(cfg, hw, jobs=1, cache=None,
                                 metrics=metrics)
+        ctx.prefetch_worker = True
         _WORKER_CONTEXTS[key] = ctx
     return ctx
 
@@ -213,11 +214,16 @@ def _worker_context(cfg, hw: HardwareConfig):
 # ----------------------------------------------------------------------
 # artefact-level tasks (whole runs / campaigns per worker)
 # ----------------------------------------------------------------------
-def fault_free_task(args) -> Any:
-    cfg, hw, benchmark, scheme = args
+def fault_free_task(args) -> Tuple[Any, Optional[CampaignResult]]:
+    """A fault-free run and, given the benchmark's characterisation, the
+    scheme's coverage phase classified on the way (``ExperimentContext.
+    run_fault_free``): ``(run, coverage or None)``."""
+    cfg, hw, benchmark, scheme, characterization = args
     with worker_task_span("worker:fault_free", benchmark=benchmark,
-                          scheme=scheme):
-        return _worker_context(cfg, hw).fault_free(benchmark, scheme)
+                          scheme=scheme,
+                          coverage=characterization is not None):
+        return _worker_context(cfg, hw).run_fault_free(
+            benchmark, scheme, characterization)
 
 
 def srt_task(args) -> Any:
@@ -328,7 +334,7 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
         if cache is not None:
             key = _checkpoint_key(cache, cfg, hw, benchmark, scheme,
                                   records, lo)
-            checkpoint = cache.get("checkpoint", key)
+            checkpoint = cache.get("checkpoint", key, metrics)
             events.cache_event("checkpoint", key,
                                hit=checkpoint is not None)
         if checkpoint is not None:
@@ -371,7 +377,7 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                         committed=checkpoint.committed,
                         cycle=checkpoint.cycle)
             if cache is not None and cache.put("checkpoint", key,
-                                               checkpoint):
+                                               checkpoint, metrics):
                 from ..obs.manifest import (build_manifest,
                                             manifest_path_for,
                                             write_manifest)

@@ -242,6 +242,15 @@ class PhaseReport:
     downshifts: int = 0
     chunks_run: int = 0
     chunks_resumed: int = 0
+    #: The golden core the caller passed to ``classify_windows``, handed
+    #: back on its trajectory: advanced through the last window when the
+    #: serial dispatcher classified every window on it without a retry,
+    #: untouched when no window ran in-process (an empty phase, or the
+    #: pool's). None when the dispatcher abandoned it (a failed chunk
+    #: drops the live golden core) or stepped it past chunks resumed
+    #: from the journal. The caller takes it, so
+    #: :attr:`Supervisor.reports` never keeps a core alive.
+    golden: Optional[Any] = None
 
 
 # ----------------------------------------------------------------------
@@ -307,11 +316,6 @@ class _Chunk:
     #: set when this chunk was in flight during a pool break; suspects
     #: are re-run solo so a repeat crash is unambiguously attributable
     suspect: bool = False
-    #: serial-path retry stash: ``(golden_clone, resume_commit)`` taken
-    #: at this chunk's start boundary, so a backing-off chunk can be
-    #: skipped (letting later chunks advance the live golden core) and
-    #: still restart from its own boundary on revisit
-    rewind: Optional[Tuple[Any, int]] = None
 
     @property
     def windows(self) -> int:
@@ -473,9 +477,15 @@ class Supervisor:
     def classify_windows(self, cfg, hw, benchmark: str,
                          scheme: Optional[str],
                          records: Sequence[FaultRecord], *, phase: str,
-                         cache=None, ctx=None) -> PhaseReport:
+                         cache=None, ctx=None, golden=None) -> PhaseReport:
         """Classify *records* under supervision; positionally identical
-        to ``classifier.run(records)`` minus any quarantined windows."""
+        to ``classifier.run(records)`` minus any quarantined windows.
+
+        *golden* is a core of (*benchmark*, *scheme*) on its fault-free
+        trajectory, at or before the first window's injection commit,
+        that the serial dispatcher advances through the windows instead
+        of building its own; ``report.golden`` hands it back (see
+        :attr:`PhaseReport.golden`)."""
         jobs = self.jobs or 1
         records = list(records)
         label = scheme or "baseline"
@@ -485,7 +495,8 @@ class Supervisor:
                            digest=config_digest(cfg, hw),
                            plan_digest=self._keyer.key("plan",
                                                        records=records))
-        report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label)
+        report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label,
+                             golden=golden)
         self.reports.append(report)
         if not records:
             # journaled all the same, so that `repro status` sees a
@@ -514,8 +525,11 @@ class Supervisor:
             if dispatcher == "serial":
                 # the serial dispatcher threads one live golden core
                 # through the chunks — no checkpoint golden pass needed
-                self._run_serial(phase_ctx, chunks, done, quarantined,
-                                 report, ctx=ctx)
+                live = self._run_serial(phase_ctx, chunks, done,
+                                        quarantined, report, ctx=ctx,
+                                        golden=golden)
+                if live is not golden or report.chunks_resumed:
+                    report.golden = None
             else:
                 boundaries = _parallel.iter_chunk_checkpoints(
                     cfg, hw, benchmark, scheme, records, bounds,
@@ -698,25 +712,31 @@ class Supervisor:
     # -- dispatch: serial ----------------------------------------------
     def _run_serial(self, phase_ctx: _Phase, chunks: "deque[_Chunk]",
                     done, quarantined, report: PhaseReport,
-                    ctx=None) -> None:
+                    ctx=None, golden=None):
         """In-process execution threading one live golden core through
-        the chunks in window order.
+        the chunks in window order: *golden* when given (a fresh-
+        trajectory core at or before the first window), else one built
+        here. Returns the live golden core the phase ended on.
 
-        No checkpoint golden pass and no per-chunk golden replay: a
-        healthy serial phase does exactly the simulation work of
-        ``Campaign.characterize`` / ``run_coverage``, plus one in-memory
-        ``clone()`` per chunk boundary kept as the rewind point for
-        retries. Same retry/bisect/quarantine semantics as the pool; no
-        watchdog (a single process cannot preempt itself; SIGKILL-grade
-        failures are covered by the journal + resume). A chunk in
-        retry backoff is *skipped*, not slept on: later ready chunks
-        keep dispatching (threading the live golden forward) and the
-        backing-off chunk restarts from its stashed boundary clone
-        (``_Chunk.rewind``) once its ``eligible_at`` deadline passes.
+        No checkpoint golden pass, no per-chunk golden replay and no
+        rewind copy: a healthy serial phase does exactly the simulation
+        work of ``Campaign.characterize`` / ``run_coverage``. Same
+        retry/bisect/quarantine semantics as the pool; no watchdog (a
+        single process cannot preempt itself; SIGKILL-grade failures are
+        covered by the journal + resume). A failed chunk drops the live
+        golden core, which it may have left mid-window. A chunk in retry
+        backoff is *skipped*, not slept on: later ready chunks keep
+        dispatching, and the backing-off chunk runs again once its
+        ``eligible_at`` deadline passes. A chunk that finds no live golden
+        core, or one past its boundary (a revisit), gets one rebuilt —
+        restored from its boundary checkpoint when it has one (a phase
+        downshifted from the pool), else built by the factory — and
+        stepped golden-only to its boundary: failures pay for their
+        retries, healthy chunks pay nothing.
         """
         queue = deque(sorted(chunks, key=lambda c: c.lo))
         if not queue:
-            return
+            return golden
         if ctx is None:
             ctx = _parallel._worker_context(phase_ctx.cfg, phase_ctx.hw)
         campaign = ctx.build_campaign(phase_ctx.benchmark)
@@ -726,24 +746,15 @@ class Supervisor:
             factory = lambda: ctx.make_core(phase_ctx.benchmark,
                                             phase_ctx.scheme)
         records = phase_ctx.records
-        golden = None        # live golden core, advanced to `position`
-        position = 0
+        position = 0         # the live `golden` has advanced to here
         resume_commit = 0
 
         def golden_for(chunk: _Chunk):
             """The golden core advanced to *chunk*'s start boundary."""
             nonlocal golden, position, resume_commit
-            if chunk.rewind is not None and (golden is None
-                                             or position != chunk.lo):
-                # revisit of a skipped chunk: the live golden moved past
-                # this boundary while the chunk backed off — restart
-                # from the clone stashed when it failed
-                golden, resume_commit = chunk.rewind
-                position = chunk.lo
-                return golden
             if golden is not None and position > chunk.lo:
-                # min-lo dispatch makes this unreachable for chunks
-                # without a rewind stash; cold-rebuild if it ever trips
+                # a revisited chunk: the live golden moved past its
+                # boundary while it backed off
                 golden = None
             if golden is None:
                 checkpoint = chunk.checkpoint   # downshifted from a pool
@@ -754,6 +765,7 @@ class Supervisor:
                     resume_commit = checkpoint.resume_at_commit
                 else:
                     golden = factory()
+                    position = resume_commit = 0
             if position < chunk.lo:     # adopted/quarantined gap: golden-
                 campaign.classifier(factory).advance_golden(   # only step
                     golden, records[position:chunk.lo])
@@ -764,7 +776,7 @@ class Supervisor:
         while queue:
             if self.drain:
                 report.status = "aborted"
-                return
+                return golden
             now = time.monotonic()
             # skip-and-revisit: never sleep on a backing-off chunk while
             # other chunks are ready — pick the lowest eligible window
@@ -778,18 +790,12 @@ class Supervisor:
             queue.remove(chunk)
             chunk.attempts += 1
             core = golden_for(chunk)
-            boundary = core.clone()
-            boundary_resume = resume_commit
             try:
                 windows = campaign.classifier(factory).run(
                     records[chunk.lo:chunk.hi], golden=core,
                     resume_at_commit=resume_commit)
             except Exception:
-                golden = boundary       # rewind to the chunk boundary
-                resume_commit = boundary_resume
-                # the stash must not alias the live golden: chunks that
-                # run while this one backs off advance (mutate) `golden`
-                chunk.rewind = (boundary.clone(), boundary_resume)
+                golden = None       # maybe left mid-window: rebuilt
                 self._note_failure(phase_ctx, chunk, report, "exception",
                                    traceback.format_exc(limit=8))
                 retry: "deque[_Chunk]" = deque()
@@ -800,6 +806,7 @@ class Supervisor:
             position = chunk.hi
             resume_commit = records[chunk.hi - 1].inject_at_commit
             self._complete(phase_ctx, chunk, windows, done, report)
+        return golden
 
     # -- dispatch: pool ------------------------------------------------
     def _run_pool(self, phase_ctx: _Phase, chunks: "deque[_Chunk]",
@@ -1158,12 +1165,10 @@ class Supervisor:
         mid = (chunk.lo + chunk.hi) // 2
         self._emit("bisect", phase_ctx, lo=chunk.lo, hi=chunk.hi)
         budget = self.policy.bisect_retries + 1
-        # the lower half shares the parent's start boundary, so its
-        # serial rewind stash still applies
         pending.append(_Chunk(chunk.lo, mid,
                               self._chunk_key(phase_ctx, chunk.lo, mid),
                               chunk.checkpoint, max_attempts=budget,
-                              suspect=chunk.suspect, rewind=chunk.rewind))
+                              suspect=chunk.suspect))
         # the upper half keeps the parent's boundary checkpoint too: the
         # worker steps its golden core from there through [lo, mid)
         pending.append(_Chunk(mid, chunk.hi,

@@ -49,6 +49,27 @@ class Program:
         # re-copying thousands of instructions per injected fault.
         return self
 
+    def __getstate__(self) -> dict:
+        # the derived memory words are rebuilt on demand, never pickled
+        # (checkpoints carry their cores' programs)
+        state = dict(self.__dict__)
+        state.pop("_memory_words", None)
+        return state
+
+    def memory_words(self) -> Dict[int, int]:
+        """``initial_memory`` without its zero words, worked out once per
+        program (``initial_memory`` itself when it holds none): every
+        thread of every core built on it starts its
+        :class:`~repro.memory.main_memory.MainMemory` from a copy.
+        Callers must not mutate the returned dict."""
+        words = self.__dict__.get("_memory_words")
+        if words is None:
+            words = self.initial_memory
+            if not all(words.values()):
+                words = {a: v for a, v in words.items() if v}
+            self._memory_words = words
+        return words
+
     def fetch(self, pc: int) -> Optional[Instruction]:
         """Instruction at *pc*, or ``None`` when *pc* runs off the end."""
         if 0 <= pc < len(self.instructions):

@@ -28,6 +28,17 @@ class MainMemory:
         self._words: Dict[int, int] = (
             {a: v for a, v in image.items() if v} if image else {})
 
+    @classmethod
+    def of_words(cls, words: Dict[int, int],
+                 latency: int = 200) -> "MainMemory":
+        """A memory holding a copy of *words*, which hold no zero word
+        (:meth:`Program.memory_words <repro.isa.program.Program.
+        memory_words>`): a plain copy, no filtering pass."""
+        memory = cls.__new__(cls)
+        memory.latency = latency
+        memory._words = dict(words)
+        return memory
+
     def __setstate__(self, state: dict) -> None:
         # pickles from before the invariant may hold zero words
         self.__dict__.update(state)

@@ -34,8 +34,8 @@ class ThreadContext:
         self.ideal_branch = ideal_branch
         self.max_commits = max_commits
 
-        self.memory = MainMemory(latency=hw.memory_latency,
-                                 image=self.program.initial_memory)
+        self.memory = MainMemory.of_words(self.program.memory_words(),
+                                          latency=hw.memory_latency)
 
         # ROB and LSQ capacity is shared dynamically across SMT contexts
         # (the core checks aggregate occupancy at dispatch; the ICOUNT

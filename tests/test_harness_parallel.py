@@ -66,14 +66,14 @@ class TestArtifactCache:
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.metrics = MetricsRegistry()
+        registry = MetricsRegistry()
         key = cache.key("srt", benchmark="mcf")
         cache.put("srt", key, [1, 2, 3])
         path = tmp_path / "srt" / f"{key}.pkl"
         path.write_bytes(b"not a pickle")
-        assert cache.get("srt", key) is None
+        assert cache.get("srt", key, registry) is None
         assert not path.exists()       # dropped so the rewrite starts clean
-        counters = cache.metrics.snapshot()["counters"]
+        counters = registry.snapshot()["counters"]
         assert counters["cache_corrupt_total"] == 1
 
     def test_verify_quarantines_corrupt_entries(self, tmp_path):

@@ -67,6 +67,24 @@ class TestMainMemory:
         assert len(mem) == 1
         assert mem.image() == {0x20: 7}
 
+    def test_program_image_zero_words_never_reach_a_thread(self):
+        """A core's threads load the program's memory words, stripped of
+        zeros once per program and copied per thread; pickling drops the
+        stripped copy."""
+        import pickle
+        from repro.isa.assembler import assemble
+        from repro.pipeline import PipelineCore
+        program = assemble("movi r1, 1\nhalt")
+        program.initial_memory.update({0x10: 0, 0x20: 7, 0x30: 0})
+        core = PipelineCore([program, program])
+        images = [thread.memory.image() for thread in core.threads]
+        assert images == [{0x20: 7}, {0x20: 7}]
+        core.threads[0].memory.write(0x20, 9)
+        assert program.memory_words() == {0x20: 7}
+        assert program.initial_memory == {0x10: 0, 0x20: 7, 0x30: 0}
+        assert "_memory_words" not in pickle.loads(
+            pickle.dumps(program)).__dict__
+
     @settings(max_examples=60, deadline=None)
     @given(base=st.dictionaries(_ADDRS, _VALUES, max_size=6),
            left=_WRITES, right=_WRITES)

@@ -206,7 +206,7 @@ class TestSerialBackoff:
         front, so one flaky chunk stalled every ready chunk behind it.
         Now a backing-off chunk is skipped and revisited: the very next
         dispatch after the failure must be a *different* chunk, and the
-        failed one still completes (from its rewind clone) later."""
+        failed one still completes (on a rebuilt golden core) later."""
         s_char, _ = serial_reference
         from repro.faults.classifier import TandemClassifier
         real_run = TandemClassifier.run

@@ -343,10 +343,20 @@ class ExperimentContext:
     def fault_free(self, benchmark: str, scheme: str) -> FaultFreeRun:
         """The fault-free run of (*benchmark*, *scheme*), memoised.
 
-        When *scheme* is screened, the benchmark's characterisation is in
-        the memo and the scheme's coverage phase is not, one trajectory
-        serves both (:meth:`run_fault_free`): the coverage phase comes
-        back too and is memoised with the run."""
+        Artefacts pulled one request at a time give no other sign of
+        what comes next: a screened scheme's run also classifies the
+        scheme's coverage phase on the way (:meth:`run_fault_free`) when
+        the benchmark's characterisation is in the memo and the phase is
+        not, and the phase is memoised with the run. :meth:`prefetch`,
+        which figures call first, decides from its request instead."""
+        joint = (scheme != "baseline" and benchmark in self._campaigns
+                 and (benchmark, scheme) not in self._coverage)
+        return self._fault_free_run(benchmark, scheme, joint)
+
+    def _fault_free_run(self, benchmark: str, scheme: str,
+                        joint: bool) -> FaultFreeRun:
+        """:meth:`fault_free`, classifying the coverage phase on the way
+        when *joint* and that phase is missing from the memo."""
         key = (benchmark, scheme)
         if key not in self._fault_free:
             with self.events.span("phase:fault_free", benchmark=benchmark,
@@ -355,9 +365,8 @@ class ExperimentContext:
                                       scheme=scheme)
                 if run is None:
                     characterization = None
-                    if (scheme != "baseline" and benchmark in self._campaigns
-                            and key not in self._coverage):
-                        characterization = self._campaigns[benchmark][1]
+                    if joint and key not in self._coverage:
+                        characterization = self.campaign(benchmark)[1]
                     run, coverage = self.run_fault_free(benchmark, scheme,
                                                         characterization)
                     if coverage is not None:
@@ -584,18 +593,26 @@ class ExperimentContext:
         Figures call this up front with everything they are about to
         read, so independent (benchmark, scheme) runs and campaigns
         compute concurrently; the figure logic then proceeds through the
-        warm in-memory caches unchanged. With ``jobs=1`` this is a no-op
-        — the pull path computes identical artefacts on demand.
+        warm in-memory caches unchanged.
 
-        Characterisations go first. Then each (benchmark, scheme) gets
-        one task: a screened pair missing both its fault-free run and its
+        A screened pair asked for both its fault-free run and its
         coverage phase runs them as one trajectory
-        (:meth:`run_fault_free`), so no worker classifies a coverage
-        phase that another task, or the parent, computes again.
+        (:meth:`run_fault_free`); every other fault-free run runs alone.
+        With ``jobs=1`` only the fault-free runs are made here, in
+        process, so that this request, not the memo, decides which of
+        them classify a coverage phase; the pull path computes the rest
+        on demand. At ``jobs>1`` characterisations go first, then each
+        (benchmark, scheme) is one task, so no worker classifies a
+        coverage phase that another task, or the parent, computes again.
         """
-        if self.jobs <= 1:
-            return
         benchmarks = tuple(benchmarks or self.cfg.benchmarks)
+        if self.jobs <= 1:
+            for benchmark in benchmarks:
+                for scheme in fault_free:
+                    self._fault_free_run(
+                        benchmark, scheme,
+                        joint=scheme != "baseline" and scheme in coverage)
+            return
         cfg, hw = self.cfg, self.hw
 
         def fan_out(phase: str, task_fn, jobs_args: List[Tuple],

@@ -147,13 +147,10 @@ def fig8(ctx: ExperimentContext,
     coverage_rows: Dict[str, Dict[str, float]] = {}
     fp_rows: Dict[str, Dict[str, float]] = {}
     for name in _ordered(ctx.cfg.benchmarks):
-        # characterisation first, then the fault-free runs: each one
-        # classifies its scheme's coverage phase on the way
-        ctx.campaign(name)
-        fp_rows[name] = {
-            s: ctx.fault_free(name, s).fp_rate for s in schemes}
         coverage_rows[name] = {
             s: _coverage_or_none(ctx.coverage(name, s)) for s in schemes}
+        fp_rows[name] = {
+            s: ctx.fault_free(name, s).fp_rate for s in schemes}
     for rows in (coverage_rows, fp_rows):
         rows["MEAN"] = {
             s: _defined_mean(r[s] for n, r in rows.items() if n != "MEAN")
@@ -296,22 +293,13 @@ def fig12(ctx: ExperimentContext) -> Dict:
         return _defined_mean(
             _coverage_or_none(ctx.coverage(n, scheme)) for n in benchmarks)
 
-    # the ablations' fault-free runs come before the characterisations,
-    # so that only FH-BE's run, whose coverage is read below, classifies
-    # its coverage phase on the way
-    fp = {s: mean_fp(s) for s in ("fh-be-nocluster-no2level",
-                                  "fh-be-no2level")}
-    full_rollback = mean_perf("fh-be-full-rollback")
-    for n in benchmarks:
-        ctx.campaign(n)
-    fp["fh-backend"] = mean_fp("fh-backend")
     left = {
-        "FH-BE-nocluster-no2level": {"fp_rate": fp["fh-be-nocluster-no2level"]},
-        "FH-BE-no2level": {"fp_rate": fp["fh-be-no2level"]},
-        "FH-BE": {"fp_rate": fp["fh-backend"]},
+        "FH-BE-nocluster-no2level": {"fp_rate": mean_fp("fh-be-nocluster-no2level")},
+        "FH-BE-no2level": {"fp_rate": mean_fp("fh-be-no2level")},
+        "FH-BE": {"fp_rate": mean_fp("fh-backend")},
     }
     middle = {
-        "FH-BE-full-rollback": {"perf_overhead": full_rollback},
+        "FH-BE-full-rollback": {"perf_overhead": mean_perf("fh-be-full-rollback")},
         "FH-BE": {"perf_overhead": mean_perf("fh-backend")},
     }
     right = {

@@ -719,20 +719,22 @@ class Supervisor:
         here. Returns the live golden core the phase ended on.
 
         No checkpoint golden pass, no per-chunk golden replay and no
-        rewind copy: a healthy serial phase does exactly the simulation
-        work of ``Campaign.characterize`` / ``run_coverage``. Same
-        retry/bisect/quarantine semantics as the pool; no watchdog (a
-        single process cannot preempt itself; SIGKILL-grade failures are
-        covered by the journal + resume). A failed chunk drops the live
-        golden core, which it may have left mid-window. A chunk in retry
-        backoff is *skipped*, not slept on: later ready chunks keep
+        per-chunk rewind copy: a healthy serial phase does exactly the
+        simulation work of ``Campaign.characterize`` / ``run_coverage``.
+        Same retry/bisect/quarantine semantics as the pool; no watchdog
+        (a single process cannot preempt itself; SIGKILL-grade failures
+        are covered by the journal + resume). A failed chunk drops the
+        live golden core, which it may have left mid-window. A chunk in
+        retry backoff is *skipped*, not slept on: later ready chunks keep
         dispatching, and the backing-off chunk runs again once its
         ``eligible_at`` deadline passes. A chunk that finds no live golden
-        core, or one past its boundary (a revisit), gets one rebuilt —
-        restored from its boundary checkpoint when it has one (a phase
-        downshifted from the pool), else built by the factory — and
-        stepped golden-only to its boundary: failures pay for their
-        retries, healthy chunks pay nothing.
+        core gets one rebuilt — restored from its boundary checkpoint
+        when it has one (a phase downshifted from the pool), else built
+        by the factory — and stepped golden-only to its boundary. The
+        rebuilt core leaves a copy at the boundary of the chunk waiting
+        to retry as it steps past it, and the retry restarts from that
+        copy: a failure costs one golden re-step to its boundary and one
+        copy, and healthy chunks pay nothing.
         """
         queue = deque(sorted(chunks, key=lambda c: c.lo))
         if not queue:
@@ -748,14 +750,29 @@ class Supervisor:
         records = phase_ctx.records
         position = 0         # the live `golden` has advanced to here
         resume_commit = 0
+        retry_at = None      # the boundary of a chunk waiting to retry
+        rewind = None        # (boundary, golden copy, resume commit)
+
+        def advance(lo: int) -> None:
+            """Step the live golden golden-only to window *lo*."""
+            nonlocal position, resume_commit
+            if position < lo:
+                campaign.classifier(factory).advance_golden(
+                    golden, records[position:lo])
+                position = lo
+                resume_commit = records[lo - 1].inject_at_commit
 
         def golden_for(chunk: _Chunk):
             """The golden core advanced to *chunk*'s start boundary."""
-            nonlocal golden, position, resume_commit
+            nonlocal golden, position, resume_commit, retry_at, rewind
             if golden is not None and position > chunk.lo:
                 # a revisited chunk: the live golden moved past its
                 # boundary while it backed off
                 golden = None
+            if (golden is None and rewind is not None
+                    and rewind[0] <= chunk.lo):
+                position, golden, resume_commit = rewind
+                rewind = None
             if golden is None:
                 checkpoint = chunk.checkpoint   # downshifted from a pool
                 if (checkpoint is not None
@@ -766,11 +783,13 @@ class Supervisor:
                 else:
                     golden = factory()
                     position = resume_commit = 0
-            if position < chunk.lo:     # adopted/quarantined gap: golden-
-                campaign.classifier(factory).advance_golden(   # only step
-                    golden, records[position:chunk.lo])
-                position = chunk.lo
-                resume_commit = records[chunk.lo - 1].inject_at_commit
+            if retry_at is not None and retry_at <= chunk.lo:
+                if position <= retry_at < chunk.lo:
+                    # about to step past a chunk waiting to retry
+                    advance(retry_at)
+                    rewind = (retry_at, golden.clone(), resume_commit)
+                retry_at = None
+            advance(chunk.lo)
             return golden
 
         while queue:
@@ -801,6 +820,8 @@ class Supervisor:
                 retry: "deque[_Chunk]" = deque()
                 self._requeue_or_split(phase_ctx, chunk, retry,
                                        quarantined, report)
+                if retry and (retry_at is None or chunk.lo < retry_at):
+                    retry_at = chunk.lo
                 queue.extend(retry)
                 continue
             position = chunk.hi

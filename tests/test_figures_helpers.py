@@ -52,9 +52,6 @@ class _NoSDCContext:
     def prefetch(self, **_):
         pass
 
-    def campaign(self, name):
-        return None, None
-
     def coverage(self, name, scheme):
         outcomes = ({0: CoverageOutcome.RECOVERED,
                      1: CoverageOutcome.NO_TRIGGER} if name == "mcf" else {})

@@ -1,10 +1,12 @@
 """One golden trajectory per (benchmark, scheme).
 
 A screened scheme's fault-free run and its coverage phase step the same
-core along the same commits. ``ExperimentContext.fault_free`` runs both
-on one core when the benchmark's characterisation is in the memo and the
-coverage phase is not: the run's core classifies the coverage windows on
-its way to halt. These tests pin that the joint pass gives exactly the
+core along the same commits. ``ExperimentContext.prefetch`` runs both on
+one core for each screened pair it is asked for both ways, and
+``ExperimentContext.fault_free`` pulled alone does so when the
+benchmark's characterisation is in the memo and the coverage phase is
+not: the run's core classifies the coverage windows on its way to halt.
+These tests pin that the joint pass gives exactly the
 artefacts of the two standalone runs, on every path that can leave the
 trajectory (a retried chunk, a quarantined window, a cache hit, the
 prefetch pool).
@@ -20,7 +22,8 @@ import pytest
 from repro.faults.classifier import TandemClassifier
 from repro.faults.model import FaultClass
 from repro.harness import (ArtifactCache, ExperimentConfig,
-                           ExperimentContext, Supervisor, SupervisorPolicy)
+                           ExperimentContext, Supervisor, SupervisorPolicy,
+                           figures)
 from repro.harness.experiment import _WarmupMark
 from repro.harness.figures import FIG8_SCHEMES
 from repro.obs.events import EventLog, read_events
@@ -241,6 +244,36 @@ def test_baseline_and_unwanted_pairs_run_alone():
     built = _count_cores(ctx)
     ctx.fault_free("mcf", "pbfs")     # coverage already memoised
     assert built == ["pbfs"]
+
+
+def test_fig8_at_jobs_1_steps_one_core_per_screened_pair():
+    """fig. 8's request joins every pair, whatever order the figure
+    then reads them in: one core per screened scheme, none for a
+    coverage golden of its own."""
+    cfg = replace(_CFG, seed=4242, benchmarks=("mcf",))
+    ctx = ExperimentContext(cfg, jobs=1)
+    built = _count_cores(ctx)
+    figures.fig8(ctx)
+    assert sorted(s for s in built if s != "baseline") == sorted(
+        FIG8_SCHEMES)
+    assert {key for key in ctx._coverage} == {
+        ("mcf", scheme) for scheme in FIG8_SCHEMES}
+
+
+def test_fig12_at_jobs_1_classifies_only_the_phases_it_reads():
+    """With the characterisation already in the memo, fig. 12's
+    ablation runs, which nothing reads the coverage of, run alone: the
+    request, not the memo, decides which runs classify a phase."""
+    cfg = replace(_CFG, seed=4242, benchmarks=("mcf",))
+    ctx = ExperimentContext(cfg, jobs=1)
+    ctx.campaign("mcf")
+    windows = ctx.metrics.windows
+    figures.fig12(ctx)
+    assert set(ctx._coverage) == {("mcf", "fh-be-nolsq"),
+                                  ("mcf", "fh-backend")}
+    classified = sum(len(ctx._coverage[key].coverage_results)
+                     for key in ctx._coverage)
+    assert ctx.metrics.windows - windows == classified
 
 
 def test_prefetch_runs_each_pair_once_and_matches_the_pull_path(tmp_path):

@@ -206,7 +206,8 @@ class TestSerialBackoff:
         front, so one flaky chunk stalled every ready chunk behind it.
         Now a backing-off chunk is skipped and revisited: the very next
         dispatch after the failure must be a *different* chunk, and the
-        failed one still completes (on a rebuilt golden core) later."""
+        failed one still completes (from a golden copy at its boundary)
+        later."""
         s_char, _ = serial_reference
         from repro.faults.classifier import TandemClassifier
         real_run = TandemClassifier.run
@@ -235,6 +236,37 @@ class TestSerialBackoff:
             "a chunk in backoff was retried immediately instead of "
             "letting ready chunks dispatch")
         assert 0 in calls[1:]       # ...and the chunk was revisited
+
+    def test_a_retry_rebuilds_the_golden_core_once(self, serial_reference,
+                                                   monkeypatch):
+        """A failed chunk drops the live golden core. The chunk after it
+        rebuilds one, which leaves a copy at the failed chunk's boundary
+        as it steps past; the retry restarts from that copy, so the
+        phase builds one core more than a healthy one, not two."""
+        s_char, _ = serial_reference
+        from repro.faults.classifier import TandemClassifier
+        real_run = TandemClassifier.run
+        calls = []
+
+        def fails_second(self, records, **kwargs):
+            calls.append(records[0].index)
+            if len(calls) == 2:
+                raise RuntimeError("injected transient failure")
+            return real_run(self, records, **kwargs)
+
+        monkeypatch.setattr(TandemClassifier, "run", fails_second)
+        sup = Supervisor(SupervisorPolicy(max_retries=3, chunk_windows=3,
+                                          backoff_base=0.75,
+                                          backoff_max=1.0))
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=sup)
+        built = []
+        make_core = ctx.make_core
+        ctx.make_core = lambda *args: built.append(args) or make_core(*args)
+        _, characterization = ctx.campaign("mcf")
+        assert characterization.characterization == s_char.characterization
+        failed = calls[1]
+        assert calls.index(failed, 2) > 2     # later chunks ran first
+        assert len(built) == 2
 
 
 # ----------------------------------------------------------------------

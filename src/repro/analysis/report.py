@@ -244,12 +244,14 @@ its state from the explicit seeds. Finished artefacts persist in
 code-version salt over the package source, so reruns are incremental and
 any simulator change invalidates the cache automatically (`REPRO_NO_CACHE=1`
 or `--no-cache` forces recomputation). Parallel window workers start from
-serialized golden-core checkpoints captured at chunk boundaries (and
-persisted in the same cache), so repeated runs skip the golden prefix
-entirely; and every run driver elides provably idle cycles (event-skip
+serialized golden-core checkpoints that one golden pass per phase
+captures in memory at chunk boundaries, so no worker steps the golden
+prefix; and every run driver elides provably idle cycles (event-skip
 fast-forward — 3.4× cycles/sec on the cache-miss-heavy profile,
-`benchmarks/results/bench_fastforward.json`). See `docs/performance.md`
-for both mechanisms and their bit-for-bit equivalence guarantees.
+`benchmarks/results/bench_fastforward.json`). See
+`docs/performance.md` for both mechanisms and their bit-for-bit
+equivalence guarantees; `make bench-summary` collates every recorded
+benchmark into the speedup-trajectory table there.
 
 **Observability.** Any campaign/figure command accepts `--emit-events
 PATH` (`REPRO_EVENTS=PATH` for the benchmark suite) to stream a typed
@@ -267,6 +269,14 @@ export` prints it as Prometheus text). The progress of a campaign run
 with `--run-dir` has one record, its crash-safe journal, which
 `repro status` folds into per-phase windows done and quarantined. See
 `docs/observability.md`.
+
+**Campaign sweeps.** Multi-benchmark/multi-scheme sweeps are declared
+as `.src.json` specs, compiled (`repro compile`) into explicit,
+content-addressed `.run.json` task lists, and run as a loop of
+one-shot `repro campaign` commands — each task's argv is spelled out
+by `spec.task_argv`, so its stdout (the numbers below) is bit-for-bit
+the hand-typed command's, and `repro resume` finishes a task
+interrupted mid-run. See `docs/specs.md`.
 
 **Simulator validation.** Every number below rests on the simulator
 being faithful, so the methodology includes self-checks: an invariant

@@ -109,7 +109,8 @@ class ArtifactCache:
         return cls(default_cache_root(), events=events)
 
     # -- keys ----------------------------------------------------------
-    def key(self, kind: str, **parts: Any) -> str:
+    @staticmethod
+    def key(kind: str, **parts: Any) -> str:
         """Content key for one artefact: kind + coordinates + code salt."""
         document = {
             "kind": kind,
@@ -135,10 +136,9 @@ class ArtifactCache:
     def get(self, kind: str, key: str,
             metrics=NULL_METRICS) -> Optional[Any]:
         """The cached artefact, or ``None`` on a miss. Hits and misses
-        are counted by the caller, which knows what the artefact is for
-        (an experiment artefact or a chunk-boundary checkpoint); corrupt
-        entries and loaded bytes count into the caller's *metrics* — a
-        cache shared by several contexts has no registry of its own."""
+        are counted by the caller; corrupt entries and loaded bytes
+        count into the caller's *metrics* — a cache shared by several
+        contexts has no registry of its own."""
         path = self._path(kind, key)
         try:
             with open(path, "rb") as handle:

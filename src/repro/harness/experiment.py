@@ -131,9 +131,8 @@ PHASE_SECONDS = "phase_seconds_total:"
 class RunSummary:
     """The figures of one registry snapshot that ``repro``'s stderr
     summary line and its run manifests report: artefact cache hits and
-    misses (checkpoint traffic excluded), the campaign windows the
-    context materialised rather than loaded from the cache, and seconds
-    per timed phase."""
+    misses, the campaign windows the context materialised rather than
+    loaded from the cache, and seconds per timed phase."""
 
     cache_hits: int = 0
     cache_misses: int = 0
@@ -550,7 +549,7 @@ class ExperimentContext:
                            else Campaign.sdc_records(characterization))
                 report = self.supervisor.classify_windows(
                     self.cfg, self.hw, benchmark, scheme, records,
-                    phase=phase, cache=self.cache, ctx=self, golden=golden)
+                    phase=phase, ctx=self, golden=golden)
                 golden, report.golden = report.golden, None
                 if scheme is None:
                     result = CampaignResult(

@@ -18,11 +18,11 @@ configuration). Two granularities:
   :func:`chunk_bounds` / :func:`align_chunk_bounds` cut the list into
   contiguous chunks, :func:`iter_chunk_checkpoints` runs *one* golden
   pass yielding a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at
-  each chunk boundary as soon as it is captured (reusing cached ones
-  when the artifact cache has them), and :func:`window_chunk_task`
-  restores a boundary and classifies only its chunk — total golden work
-  stays linear in the fault count, and checkpoint restore is bit-for-bit
-  the state the serial classifier carries into the chunk.
+  each chunk boundary as soon as it is captured (in memory, for that
+  phase only), and :func:`window_chunk_task` restores a boundary and
+  classifies only its chunk — total golden work stays linear in the
+  fault count, and checkpoint restore is bit-for-bit the state the
+  serial classifier carries into the chunk.
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``,
 fork start method where available); each keeps a private serial
@@ -143,25 +143,31 @@ class ParallelExecutor:
             tasks: Sequence[Any]) -> List[Any]:
         tasks = list(tasks)
         self.metrics.counter("dispatcher_tasks_total").inc(len(tasks))
-        if self.jobs == 1 or len(tasks) <= 1 or self._pool_broken:
-            return [fn(task) for task in tasks]
-        self.metrics.counter("dispatcher_fanouts_total").inc()
-        self.metrics.gauge("dispatcher_jobs").set(self.jobs)
-        # Hand workers their event spool through the environment (fork
-        # inherits it); absorb their per-worker files once the fan-out
+        # Hand the tasks their event spool through the environment (fork
+        # inherits it); absorb the per-worker files once the fan-out
         # completes so the main log stays the single source of truth.
+        # A task run in this process (one task, jobs=1, a broken pool)
+        # spools its worker registry the same way, so no path loses it.
         spool = self.events.worker_spool() if self.events.enabled else None
         if spool is not None:
             os.environ[WORKER_DIR_ENV] = spool
         try:
-            return self._map_pool(fn, tasks)
+            if self.jobs > 1 and len(tasks) > 1 and not self._pool_broken:
+                results = self._map_pool(fn, tasks)
+                if results is not None:
+                    return results
+            return [fn(task) for task in tasks]
         finally:
             if spool is not None:
                 os.environ.pop(WORKER_DIR_ENV, None)
                 self.events.absorb_worker_files()
 
     def _map_pool(self, fn: Callable[[Any], Any],
-                  tasks: List[Any]) -> List[Any]:
+                  tasks: List[Any]) -> Optional[List[Any]]:
+        """The pool's results in task order; None when no pool can be
+        created (the caller then runs the tasks in this process)."""
+        self.metrics.counter("dispatcher_fanouts_total").inc()
+        self.metrics.gauge("dispatcher_jobs").set(self.jobs)
         workers = min(self.jobs, len(tasks))
         try:
             with ProcessPoolExecutor(max_workers=workers,
@@ -177,7 +183,7 @@ class ParallelExecutor:
                              jobs_from=workers, jobs_to=1,
                              detail=f"{type(exc).__name__}: {exc}")
             self._pool_broken = True
-            return [fn(task) for task in tasks]
+            return None
 
 
 # ----------------------------------------------------------------------
@@ -258,58 +264,43 @@ class CheckpointStats:
     for its per-window deadline estimate."""
 
     golden_pass_seconds: float = 0.0
-    #: windows the pass stepped the golden core through (cache hits
-    #: step none) — the denominator of the watchdog's per-window estimate
+    #: windows the pass stepped the golden core through — the
+    #: denominator of the watchdog's per-window estimate
     windows_stepped: int = 0
-
-
-def _checkpoint_key(cache, cfg, hw, benchmark: str, scheme,
-                    records: Sequence[FaultRecord], lo: int) -> str:
-    """Content-addressed key for the chunk-boundary checkpoint at window
-    *lo*. The golden core's state there is a pure function of the
-    configuration, the workload, the scheme, and the *content* of the
-    prefix records it advanced through (an LSQ fault's probe decides
-    whether a window arms), so all of those go into the digest."""
-    return cache.key("checkpoint", cfg=cfg, hw=hw, benchmark=benchmark,
-                     scheme=scheme or "baseline", window=lo,
-                     prefix=list(records[:lo]))
 
 
 def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                       records: Sequence[FaultRecord],
                       bounds: Sequence[Tuple[int, int]],
-                      cache=None, events=None, ctx=None,
-                      stats: Optional[CheckpointStats] = None,
-                      jobs: int = 1) -> List[CoreCheckpoint]:
+                      events=None, ctx=None,
+                      stats: Optional[CheckpointStats] = None
+                      ) -> List[CoreCheckpoint]:
     """Every chunk boundary's :class:`CoreCheckpoint`, in *bounds* order:
     :func:`iter_chunk_checkpoints` run to completion."""
     return list(iter_chunk_checkpoints(cfg, hw, benchmark, scheme, records,
-                                       bounds, cache=cache, events=events,
-                                       ctx=ctx, stats=stats, jobs=jobs))
+                                       bounds, events=events, ctx=ctx,
+                                       stats=stats))
 
 
 def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                            records: Sequence[FaultRecord],
                            bounds: Sequence[Tuple[int, int]],
-                           cache=None, events=None, ctx=None,
-                           stats: Optional[CheckpointStats] = None,
-                           jobs: int = 1) -> Iterator[CoreCheckpoint]:
+                           events=None, ctx=None,
+                           stats: Optional[CheckpointStats] = None
+                           ) -> Iterator[CoreCheckpoint]:
     """One golden pass yielding a :class:`CoreCheckpoint` per chunk
     boundary as soon as it exists, so no chunk worker steps the golden
     core from window zero and the supervisor can dispatch a chunk while
     the pass is still capturing later boundaries.
 
-    Boundaries are visited in ascending window order. A boundary whose
-    checkpoint the artifact cache already holds is a hit (no golden work
-    at all); a miss advances a live golden core from the nearest earlier
-    state — the previous boundary's live core, or a restored cached
-    checkpoint — so the pass never restarts from window zero. With a
-    fully warm cache the entire pass does zero stepping. *stats* is
-    updated before each yield; only time spent inside the pass counts
-    toward ``golden_pass_seconds``, not time the consumer spends between
+    Boundaries are visited in ascending window order; one live golden
+    core advances from each to the next, so the pass steps every window
+    before the last boundary once. The checkpoints live in memory only,
+    for the phase that captured them. *stats* is updated before each
+    yield; only time spent inside the pass counts toward
+    ``golden_pass_seconds``, not time the consumer spends between
     boundaries. The live golden core is dropped before the last boundary
-    is yielded. Hits and captures count into *ctx*'s registry as they
-    happen.
+    is yielded. Captures count into *ctx*'s registry as they happen.
     """
     events = events if events is not None else NULL_LOG
     stats = stats if stats is not None else CheckpointStats()
@@ -326,77 +317,36 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
     metrics = ctx.metrics_registry
     golden = None       # live core, advanced through records[:golden_at]
     golden_at = 0
-    base: Optional[CoreCheckpoint] = None   # nearest cached boundary
     elapsed = 0.0
     for index, (lo, _hi) in enumerate(bounds):
         started = time.perf_counter()
-        key = checkpoint = None
-        if cache is not None:
-            key = _checkpoint_key(cache, cfg, hw, benchmark, scheme,
-                                  records, lo)
-            checkpoint = cache.get("checkpoint", key, metrics)
-            events.cache_event("checkpoint", key,
-                               hit=checkpoint is not None)
-        if checkpoint is not None:
-            metrics.counter("checkpoint_hits_total").inc()
-            events.emit("checkpoint", action="hit", window=lo,
-                        benchmark=benchmark, scheme=label,
-                        bytes=checkpoint.nbytes,
-                        committed=checkpoint.committed,
-                        cycle=checkpoint.cycle)
-            # Later misses resume from this checkpoint, not from any
-            # earlier live core.
-            base, golden = checkpoint, None
-        else:
-            if golden is None:
-                if base is not None:
-                    with events.span("checkpoint:restore",
-                                     benchmark=benchmark, scheme=label,
-                                     window=base.window_index):
-                        golden = base.restore()
-                    golden_at = base.window_index
-                else:
-                    golden = factory()
-                    golden_at = 0
-            with events.span("checkpoint:capture", benchmark=benchmark,
-                             scheme=label, window=lo):
-                classifier.advance_golden(golden, records[golden_at:lo])
-                stats.windows_stepped += lo - golden_at
-                golden_at = lo
-                # chunk boundaries are the natural sanitizer sites: a
-                # structurally broken golden core must never be captured
-                # into the checkpoint cache (no-op when not armed)
-                golden.check_invariants()
-                resume = records[lo - 1].inject_at_commit if lo else 0
-                checkpoint = CoreCheckpoint.capture(
-                    golden, window_index=lo, resume_at_commit=resume)
-            metrics.counter("checkpoints_captured_total").inc()
-            events.emit("checkpoint", action="capture", window=lo,
-                        benchmark=benchmark, scheme=label,
-                        bytes=checkpoint.nbytes,
-                        committed=checkpoint.committed,
-                        cycle=checkpoint.cycle)
-            if cache is not None and cache.put("checkpoint", key,
-                                               checkpoint, metrics):
-                from ..obs.manifest import (build_manifest,
-                                            manifest_path_for,
-                                            write_manifest)
-                manifest = build_manifest(
-                    "checkpoint", cfg, hw,
-                    parts=dict(benchmark=benchmark, scheme=label,
-                               window=lo, prefix_records=lo),
-                    key=key, jobs=jobs)
-                write_manifest(
-                    manifest_path_for(
-                        cache.artifact_path("checkpoint", key)),
-                    manifest)
+        if golden is None:
+            golden = factory()
+        with events.span("checkpoint:capture", benchmark=benchmark,
+                         scheme=label, window=lo):
+            classifier.advance_golden(golden, records[golden_at:lo])
+            stats.windows_stepped += lo - golden_at
+            golden_at = lo
+            # chunk boundaries are the natural sanitizer sites: a
+            # structurally broken golden core must never be shipped to
+            # a chunk worker (no-op when not armed)
+            golden.check_invariants()
+            resume = records[lo - 1].inject_at_commit if lo else 0
+            checkpoint = CoreCheckpoint.capture(
+                golden, window_index=lo, resume_at_commit=resume)
+        metrics.counter("checkpoints_captured_total").inc()
+        events.emit("checkpoint", action="capture", window=lo,
+                    benchmark=benchmark, scheme=label,
+                    bytes=checkpoint.nbytes,
+                    committed=checkpoint.committed,
+                    cycle=checkpoint.cycle)
         step = time.perf_counter() - started
         elapsed += step
         stats.golden_pass_seconds += step
         if index == len(bounds) - 1:
             # the pass is over: release the live golden core before the
             # consumer runs the last chunks, and record the pass
-            golden = base = None
+            golden = None
             metrics.histogram("golden_pass_seconds",
                               SECONDS_BUCKETS).observe(elapsed)
         yield checkpoint

@@ -88,6 +88,12 @@ EXIT_COMPLETE = 0
 EXIT_QUARANTINE = 3
 EXIT_ABORTED = 4
 
+#: Deterministic jitter added to a retry's backoff, as a fraction of
+#: the delay.
+BACKOFF_JITTER = 0.5
+#: Seconds to wait for in-flight chunks during a graceful drain.
+DRAIN_GRACE = 30.0
+
 CHAOS_CRASH_RATE_ENV = "REPRO_CHAOS_CRASH_RATE"
 CHAOS_POISON_ENV = "REPRO_CHAOS_POISON"
 CHAOS_HANG_ENV = "REPRO_CHAOS_HANG"
@@ -185,17 +191,14 @@ class SupervisorPolicy:
     soft_timeout_factor: float = 32.0
     min_soft_timeout: float = 30.0
     #: Exponential backoff between attempts: base * 2^(attempt-1),
-    #: capped, plus deterministic jitter (a fraction of the delay).
+    #: capped, plus :data:`BACKOFF_JITTER`.
     backoff_base: float = 0.1
     backoff_max: float = 5.0
-    backoff_jitter: float = 0.5
     #: Target windows per chunk — the journal (and retry) granularity.
     #: The chunk count is ``max(jobs, ceil(windows / chunk_windows))``.
     chunk_windows: int = 8
     #: Consecutive pool failures tolerated before downshifting jobs.
     pool_break_limit: int = 3
-    #: Seconds to wait for in-flight chunks during a graceful drain.
-    drain_grace: float = 30.0
     #: Run a phase that plans a single chunk in-process even at
     #: ``jobs > 1``: no fork and no checkpoint pass, but also no
     #: watchdog and no crash isolation for that chunk. Off by default,
@@ -393,8 +396,6 @@ class Supervisor:
                     "type": "resume",
                     "chunks": len(self._journal_chunks),
                     "quarantined": len(self._journal_quarantine)})
-        self._keyer = self.chunk_store or ArtifactCache(
-            pathlib.Path(".") / ".repro-keys")   # key derivation only
         self.reports: List[PhaseReport] = []
         self.drain = False
         self._force_serial = False
@@ -477,7 +478,7 @@ class Supervisor:
     def classify_windows(self, cfg, hw, benchmark: str,
                          scheme: Optional[str],
                          records: Sequence[FaultRecord], *, phase: str,
-                         cache=None, ctx=None, golden=None) -> PhaseReport:
+                         ctx=None, golden=None) -> PhaseReport:
         """Classify *records* under supervision; positionally identical
         to ``classifier.run(records)`` minus any quarantined windows.
 
@@ -493,8 +494,8 @@ class Supervisor:
                            scheme=scheme, label=label, phase=phase,
                            records=records,
                            digest=config_digest(cfg, hw),
-                           plan_digest=self._keyer.key("plan",
-                                                       records=records))
+                           plan_digest=ArtifactCache.key("plan",
+                                                         records=records))
         report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label,
                              golden=golden)
         self.reports.append(report)
@@ -533,8 +534,7 @@ class Supervisor:
             else:
                 boundaries = _parallel.iter_chunk_checkpoints(
                     cfg, hw, benchmark, scheme, records, bounds,
-                    cache=cache, events=self.events, ctx=ctx,
-                    stats=phase_ctx.golden, jobs=jobs)
+                    events=self.events, ctx=ctx, stats=phase_ctx.golden)
                 self._run_pool(phase_ctx, chunks, boundaries, done,
                                quarantined, report, jobs=jobs, ctx=ctx)
 
@@ -617,7 +617,7 @@ class Supervisor:
         chunks stays linear in its size) and the window range — the
         same digest family the artifact cache uses, so a journal line
         proves exactly which computation it stands for."""
-        return self._keyer.key(
+        return ArtifactCache.key(
             "chunk", cfg=phase_ctx.cfg, hw=phase_ctx.hw,
             benchmark=phase_ctx.benchmark, scheme=phase_ctx.label,
             phase=phase_ctx.phase, lo=lo, hi=hi,
@@ -883,7 +883,7 @@ class Supervisor:
                 now = time.monotonic()
                 if self.drain:
                     if drain_deadline is None:
-                        drain_deadline = now + self.policy.drain_grace
+                        drain_deadline = now + DRAIN_GRACE
                         self._emit("drain", phase_ctx,
                                    pending=(len(unready) + len(pending)
                                             + len(probe)),
@@ -1127,7 +1127,7 @@ class Supervisor:
         self._jitter_salt += 1
         jitter = _chaos_fraction("backoff", chunk.lo, chunk.hi,
                                  chunk.attempts, self._jitter_salt)
-        return delay * (1.0 + policy.backoff_jitter * jitter)
+        return delay * (1.0 + BACKOFF_JITTER * jitter)
 
     # -- outcome handling ----------------------------------------------
     @staticmethod

@@ -95,9 +95,10 @@ OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
 #: The recovery labels a ``fault_audit`` event may carry.
 RECOVERY_LABELS = ("rollback", "replay", "singleton", "suppress", "none")
 
-#: The actions a ``checkpoint`` event may carry: the dispatcher either
-#: captured a fresh chunk-boundary checkpoint or reloaded a cached one.
-CHECKPOINT_ACTIONS = ("capture", "hit")
+#: The actions a ``checkpoint`` event may carry: the golden pass
+#: captured a chunk-boundary checkpoint.
+CHECKPOINT_ACTIONS = ("capture",
+                      "hit")    # no longer written; kept for older logs
 
 #: The lifecycle actions a ``supervisor`` event may carry.
 SUPERVISOR_ACTIONS = ("plan", "chunk_done", "retry", "timeout",

@@ -9,8 +9,7 @@ reproducible later in another object (faulty fork) or another process
   purpose-built ``clone()`` protocol every core structure implements
   (the deepcopy replacement for the per-window faulty fork);
 - :class:`CoreCheckpoint` — a pickled core plus the window coordinates
-  it was captured at, cheap to ship across processes and to persist in
-  the content-addressed artifact cache.
+  it was captured at, cheap to ship across processes.
 
 A restored checkpoint and the serial golden core are bit-for-bit
 indistinguishable: golden-side stepping is deterministic and resumable

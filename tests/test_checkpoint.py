@@ -1,17 +1,14 @@
 """Checkpoint/restore subsystem tests.
 
 The tentpole contract: the purpose-built ``clone()`` protocol, the
-pickled :class:`CoreCheckpoint`, and the supervisor's cached golden
+pickled :class:`CoreCheckpoint`, and the supervisor's in-memory golden
 pass are pure accelerators — the unchunked ``Campaign`` reference,
-checkpointed-serial, supervised-pool and warm-cache classification are
-bit-for-bit identical, and the never-rewind contract survives the
-hand-off.
+checkpointed-serial and supervised-pool classification are bit-for-bit
+identical, and the never-rewind contract survives the hand-off.
 """
 
 import copy
-import pathlib
 import pickle
-import shutil
 
 import pytest
 
@@ -309,7 +306,7 @@ class TestChunkOrdering:
 
 
 # ----------------------------------------------------------------------
-# the acceptance bar: four paths, one answer
+# the acceptance bar: three paths, one answer
 # ----------------------------------------------------------------------
 def _char_signature(result):
     return [(w.record, w.applied, w.fault_class, w.state_equal,
@@ -326,7 +323,7 @@ def _cov_signature(result):
             result.coverage)
 
 
-class TestFourPathEquivalence:
+class TestThreePathEquivalence:
     @pytest.fixture(scope="class")
     def serial(self):
         # the unchunked Campaign reference, outside the supervisor
@@ -337,29 +334,16 @@ class TestFourPathEquivalence:
             "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
             characterization)
 
-    def test_parallel_checkpointed_and_warm_cache(self, serial, tmp_path):
+    def test_parallel_and_checkpointed_serial(self, serial, tmp_path):
         serial_char, serial_cov = serial
-        cache = ArtifactCache(tmp_path)
 
-        # cold: the supervised pool captures checkpoints, persists them
-        cold = ExperimentContext(_TINY, jobs=3, cache=cache)
+        # the supervised pool captures checkpoints in its golden pass
+        cold = ExperimentContext(_TINY, jobs=3, cache=ArtifactCache(tmp_path))
         _, cold_char = cold.campaign("mcf")
         counts = cold.metrics_registry.snapshot()
         cold_cov = cold.coverage("mcf", "faulthound")
         assert counts["counters"]["checkpoints_captured_total"] > 0
-        assert "checkpoint_hits_total" not in counts["counters"]
         assert counts["histograms"]["golden_pass_seconds"]["sum"] > 0
-
-        # warm: drop the campaign artefacts but keep the checkpoints, so
-        # classification re-runs with zero golden stepping
-        for kind in ("characterize", "coverage"):
-            shutil.rmtree(pathlib.Path(tmp_path) / kind)
-        warm = ExperimentContext(_TINY, jobs=3, cache=ArtifactCache(tmp_path))
-        _, warm_char = warm.campaign("mcf")
-        counts = warm.metrics_registry.snapshot()["counters"]
-        warm_cov = warm.coverage("mcf", "faulthound")
-        assert counts["checkpoint_hits_total"] > 0
-        assert "checkpoints_captured_total" not in counts
 
         # checkpointed-serial: classify straight from a restored boundary
         ctx = ExperimentContext(_TINY, jobs=1)
@@ -380,10 +364,8 @@ class TestFourPathEquivalence:
 
         want = _char_signature(serial_char)
         assert _char_signature(cold_char) == want
-        assert _char_signature(warm_char) == want
         assert _char_signature(resumed_char) == want
         assert _cov_signature(cold_cov) == _cov_signature(serial_cov)
-        assert _cov_signature(warm_cov) == _cov_signature(serial_cov)
 
         # the audit trail's aggregates agree across every path too
         from repro.obs.audit import audit_records
@@ -393,16 +375,36 @@ class TestFourPathEquivalence:
 
         want_audit = audit(serial_char, "characterize")
         assert audit(cold_char, "characterize") == want_audit
-        assert audit(warm_char, "characterize") == want_audit
         assert audit(resumed_char, "characterize") == want_audit
         assert (audit(cold_cov, "coverage")
                 == audit(serial_cov, "coverage"))
-        assert (audit(warm_cov, "coverage")
-                == audit(serial_cov, "coverage"))
 
-    def test_checkpoint_cache_stats_flow_into_metrics(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        ctx = ExperimentContext(_TINY, jobs=2, cache=cache)
+    def test_parallel_campaign_persists_no_checkpoints(self, serial,
+                                                       tmp_path):
+        """Chunk-boundary checkpoints live in memory only: a pooled
+        campaign and coverage phase with an artifact cache write no
+        ``checkpoint/`` entry, and their results equal ``jobs=1``."""
+        def run(jobs, root):
+            ctx = ExperimentContext(_TINY, jobs=jobs,
+                                    cache=ArtifactCache(root))
+            _, characterization = ctx.campaign("mcf")
+            coverage = ctx.coverage("mcf", "faulthound")
+            return (ctx.metrics_registry.snapshot()["counters"],
+                    characterization, coverage)
+
+        counts, parallel_char, parallel_cov = run(2, tmp_path / "jobs2")
+        _, serial_char, serial_cov = run(1, tmp_path / "jobs1")
+        assert counts["checkpoints_captured_total"] > 0
+        assert (tmp_path / "jobs2" / "characterize").is_dir()
+        assert not (tmp_path / "jobs2" / "checkpoint").exists()
+        assert (_char_signature(parallel_char)
+                == _char_signature(serial_char)
+                == _char_signature(serial[0]))
+        assert (_cov_signature(parallel_cov) == _cov_signature(serial_cov)
+                == _cov_signature(serial[1]))
+
+    def test_checkpoint_stats_flow_into_metrics(self):
+        ctx = ExperimentContext(_TINY, jobs=2)
         campaign = ctx.build_campaign("mcf")
 
         def classify():
@@ -417,12 +419,13 @@ class TestFourPathEquivalence:
             ctx.supervisor.classify_windows(
                 _TINY, ctx.hw, "mcf", None,
                 [r.fresh_copy() for r in campaign.records],
-                phase="characterize", cache=cache, ctx=ctx)
+                phase="characterize", ctx=ctx)
             return tuple(b - a for a, b in zip(before, counts()))
 
-        captured, hits = classify()
         planned = ctx.supervisor._chunk_gaps(
             [(0, len(campaign.records))], 2, campaign.records)
-        assert captured == len(planned) > 1
-        assert hits == 0
-        assert classify() == (0, captured)
+        assert len(planned) > 1
+        # each classification steps its own golden pass: every planned
+        # boundary is captured again, none is reused
+        assert classify() == (len(planned), 0)
+        assert classify() == (len(planned), 0)

@@ -211,13 +211,11 @@ class TestWorkerMetrics:
     def test_prefetch_workers_count_like_the_serial_run(self, tmp_path):
         """Campaigns that prefetch workers classify in their private
         contexts reach the event log's merged snapshot with the same
-        classifier and supervisor window counts as a serial run."""
-        cfg = ExperimentConfig(benchmarks=("mcf", "bzip2"),
-                               dynamic_target=2_200, num_faults=10,
-                               warmup_commits=400, window_commits=150)
-
-        def merged(jobs):
-            log = EventLog(tmp_path / f"events-{jobs}.jsonl")
+        classifier and supervisor window counts as a serial run — also
+        when a fan-out has one task, which runs in the parent."""
+        def merged(cfg, jobs):
+            log = EventLog(tmp_path / f"events-{len(cfg.benchmarks)}-"
+                                      f"{jobs}.jsonl")
             ctx = ExperimentContext(cfg, jobs=jobs, events=log,
                                     metrics=MetricsRegistry())
             ctx.prefetch(campaigns=True, coverage=("faulthound",))
@@ -227,10 +225,15 @@ class TestWorkerMetrics:
             log.close()
             return snapshot_from_events(read_events(log.path))["counters"]
 
-        serial, parallel = merged(1), merged(2)
-        for name in ("classifier_windows_total",
-                     "supervisor_windows_done_total"):
-            assert parallel.get(name) == serial[name] > 0, name
+        for benchmarks in (("mcf", "bzip2"), ("mcf",)):
+            cfg = ExperimentConfig(benchmarks=benchmarks,
+                                   dynamic_target=2_200, num_faults=10,
+                                   warmup_commits=400, window_commits=150)
+            serial, parallel = merged(cfg, 1), merged(cfg, 2)
+            for name in ("classifier_windows_total",
+                         "supervisor_windows_done_total"):
+                assert parallel.get(name) == serial[name] > 0, (
+                    benchmarks, name)
 
 
 # ----------------------------------------------------------------------

@@ -525,11 +525,14 @@ def _slow_pass(monkeypatch, delay, on_boundary=None):
     real = parallel.iter_chunk_checkpoints
     state = {"left": 0, "closed": False}
 
-    def slow(*args, **kwargs):
-        state["left"] = len(args[5])       # the phase's chunk bounds
+    def slow(cfg, hw, benchmark, scheme, records, bounds, events=None,
+             ctx=None, stats=None):
+        state["left"] = len(bounds)
         state["closed"] = False
         try:
-            for index, checkpoint in enumerate(real(*args, **kwargs)):
+            for index, checkpoint in enumerate(real(
+                    cfg, hw, benchmark, scheme, records, bounds,
+                    events=events, ctx=ctx, stats=stats)):
                 if index:
                     time.sleep(delay)
                 state["left"] -= 1
@@ -1009,9 +1012,11 @@ _SLOW_PASS_CLI = """
 import pathlib, sys, time
 from repro.harness import parallel
 real = parallel.iter_chunk_checkpoints
-def slow(*args, **kwargs):
-    bounds = args[5]
-    for index, checkpoint in enumerate(real(*args, **kwargs)):
+def slow(cfg, hw, benchmark, scheme, records, bounds, events=None,
+         ctx=None, stats=None):
+    for index, checkpoint in enumerate(real(
+            cfg, hw, benchmark, scheme, records, bounds,
+            events=events, ctx=ctx, stats=stats)):
         if index:
             time.sleep(float(sys.argv[1]))
         if index == len(bounds) - 1:

@@ -1,12 +1,9 @@
-"""Campaign-throughput benches: the parallel execution layer must be
-faster than serial where cores allow, and *identical* always.
+"""Campaign-throughput benches.
 
-These time a small characterisation + coverage campaign serially and
-with a 2-worker pool, and assert the two produce bit-for-bit equal
-results (the tentpole contract: workers re-derive state from explicit
-seeds, so fan-out is pure mechanism, never policy). A separate bench
-times the warm-cache path, which should be near-instant regardless of
-scale.
+These time a small characterisation + coverage campaign cold and from a
+warm artifact cache (which should be near-instant regardless of scale),
+and the resilient supervisor's bookkeeping against the unchunked
+``Campaign`` reference.
 
 ``test_clone_vs_deepcopy`` times the purpose-built ``clone()`` against
 ``copy.deepcopy`` on a warm core and records both into
@@ -43,17 +40,6 @@ def test_campaign_serial_throughput(benchmark):
     summary = ctx.metrics
     assert summary.windows >= len(characterization.characterization) > 0
     assert summary.phase_seconds["characterize"] > 0
-
-
-def test_campaign_parallel_matches_serial(benchmark):
-    _, serial_char, serial_cov = _campaign_results(jobs=1)
-    _, par_char, par_cov = benchmark.pedantic(
-        lambda: _campaign_results(jobs=2), rounds=1, iterations=1)
-    # bit-for-bit: same windows, same outcomes, same coverage number
-    assert par_char.characterization == serial_char.characterization
-    assert par_cov.coverage_results == serial_cov.coverage_results
-    assert par_cov.outcomes == serial_cov.outcomes
-    assert par_cov.coverage == serial_cov.coverage
 
 
 def test_campaign_warm_cache_throughput(benchmark):
@@ -108,18 +94,15 @@ def test_clone_vs_deepcopy():
 # supervisor overhead
 # ----------------------------------------------------------------------
 def test_supervisor_overhead_is_negligible():
-    """The resilient supervisor (retry/watchdog/quarantine bookkeeping,
-    fsync'd journal) must cost <= 3% on a fault-free campaign.
+    """The resilient supervisor (retry/quarantine bookkeeping, fsync'd
+    journal) must cost <= 3% on a fault-free campaign.
 
     Measured against the unchunked ``Campaign.characterize`` /
-    ``run_coverage`` reference on the serial dispatch path — identical
-    simulation work on both sides, so the delta is exactly the
-    supervisor's bookkeeping. The two sides alternate, round by round,
-    so a slow spell of a shared host lands on both, and each keeps its
-    best of ten wall times to shed scheduler noise. The supervised
-    pool path is timed too and recorded for reference (it additionally
-    pays per-phase pool construction, which amortises with campaign
-    size and is not supervisor bookkeeping).
+    ``run_coverage`` reference — identical simulation work on both
+    sides, so the delta is exactly the supervisor's bookkeeping. The
+    two sides alternate, round by round, so a slow spell of a shared
+    host lands on both, and each keeps its best of ten wall times to
+    shed scheduler noise.
     """
     from repro.harness import Supervisor, SupervisorPolicy
 
@@ -145,17 +128,6 @@ def test_supervisor_overhead_is_negligible():
         assert sup.status == "complete"
         return elapsed
 
-    def supervised_pool(run_root):
-        sup = Supervisor(SupervisorPolicy(),
-                         run_dir=pathlib.Path(run_root) / "run")
-        ctx = ExperimentContext(_CFG, jobs=2, supervisor=sup)
-        started = time.perf_counter()
-        ctx.campaign("mcf")
-        ctx.coverage("mcf", "faulthound")
-        elapsed = time.perf_counter() - started
-        sup.close()
-        return elapsed
-
     rounds = 10
     plain_times, supervised_times = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -163,15 +135,12 @@ def test_supervisor_overhead_is_negligible():
             plain_times.append(plain_serial())
             supervised_times.append(
                 supervised_serial(os.path.join(tmp, f"s{i}")))
-        pool = min(supervised_pool(os.path.join(tmp, f"p{i}"))
-                   for i in range(3))
     plain, supervised = min(plain_times), min(supervised_times)
 
     overhead = supervised / plain - 1.0
     _RESULTS.save("bench_supervisor_overhead", {
         "plain_serial_s": round(plain, 3),
         "supervised_serial_s": round(supervised, 3),
-        "supervised_pool_s": round(pool, 3),
         "serial_overhead_pct": round(100 * overhead, 2),
         "rounds": rounds,
     }, config=_CFG)

@@ -237,15 +237,14 @@ with its machine-checked shape claims.
 
 **Scaling & parallel execution.** `REPRO_SCALE` picks the scale
 (`quick`/`default`/`full`); `REPRO_JOBS` (or `repro figure --jobs N`)
-fans independent runs, campaigns and fault windows across a process
+fans independent runs, campaigns and coverage phases across a process
 pool, bit-for-bit identical to serial because every worker re-derives
 its state from the explicit seeds. Finished artefacts persist in
 `benchmarks/.cache/<kind>/<digest>.pkl`, keyed by the configs plus a
 code-version salt over the package source, so reruns are incremental and
 any simulator change invalidates the cache automatically (`REPRO_NO_CACHE=1`
-or `--no-cache` forces recomputation). Parallel window workers start from
-serialized golden-core checkpoints that one golden pass per phase
-captures in memory at chunk boundaries, so no worker steps the golden
+or `--no-cache` forces recomputation). A phase's fault windows run
+in-process on one live golden core, so no window re-steps the golden
 prefix; and every run driver elides provably idle cycles (event-skip
 fast-forward — 3.4× cycles/sec on the cache-miss-heavy profile,
 `benchmarks/results/bench_fastforward.json`). See

@@ -10,7 +10,7 @@ Subcommands
     Run one synthetic benchmark fault-free; print timing and energy.
 ``repro campaign NAME [--faults N] [--scheme S]``
     Fault-injection campaign: characterisation plus scheme coverage.
-    Runs under the resilient supervisor (retries, watchdog timeouts,
+    Runs in-process under the resilient supervisor (retries,
     poison-window quarantine — see docs/robustness.md); with
     ``--run-dir D`` progress is journaled crash-safely into ``D``.
 ``repro resume RUN_DIR``
@@ -109,15 +109,7 @@ def _non_negative_int(text: str) -> int:
     return _bounded(text, int, "an integer", lambda v: v >= 0, ">= 0")
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for durations that must be > 0."""
-    return _bounded(text, float, "a number", lambda v: v > 0, "> 0")
-
-
 def _add_exec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=_positive_int, default=None,
-                     help="worker processes for campaign/figure fan-out "
-                          "(default: all CPUs; 1 = serial)")
     sub.add_argument("--no-cache", action="store_true",
                      help="recompute everything instead of using the "
                           "persistent artifact cache")
@@ -136,11 +128,6 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-retries", type=_non_negative_int, default=3,
                      help="extra attempts per window chunk before "
                           "bisecting toward quarantine (default 3)")
-    sub.add_argument("--chunk-timeout", type=_positive_float, default=None,
-                     metavar="SECONDS",
-                     help="hard watchdog deadline per chunk attempt "
-                          "(default: soft deadline only, derived from "
-                          "golden-pass throughput)")
     sub.add_argument("--chunk-windows", type=_positive_int, default=8,
                      help="target windows per supervised chunk — the "
                           "journal/retry granularity (default 8)")
@@ -149,7 +136,10 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
 def _make_context(cfg: ExperimentConfig, args, events=None,
                   supervisor=None) -> ExperimentContext:
     cache = None if args.no_cache else ArtifactCache.default()
-    return ExperimentContext(cfg, jobs=args.jobs, cache=cache,
+    # a campaign runs its phases in-process, one after the other; only
+    # `figure` fans artefacts out over workers
+    return ExperimentContext(cfg, jobs=getattr(args, "jobs", 1),
+                             cache=cache,
                              events=events, supervisor=supervisor)
 
 
@@ -220,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "directory's crash-safe journal")
     resume.add_argument("run_dir", help="the --run-dir of the "
                                         "interrupted campaign")
-    resume.add_argument("--jobs", type=_positive_int, default=None,
-                        help="override the original worker count")
     resume.add_argument("--emit-events", metavar="PATH", default=None,
                         help="write this resume's event log to PATH")
 
@@ -249,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
     figure.add_argument("which", choices=sorted(_FIGURES))
     figure.add_argument("--scale", default="quick", choices=sorted(SCALES))
+    figure.add_argument("--jobs", type=_positive_int, default=None,
+                        help="worker processes for the figure's artefact "
+                             "fan-out (default: all CPUs; 1 = serial)")
     _add_exec_flags(figure)
 
     report = sub.add_parser(
@@ -406,10 +397,8 @@ def _save_campaign_args(args) -> None:
         return
     document = {"command": "campaign", "name": args.name,
                 "scheme": args.scheme, "faults": args.faults,
-                "seed": args.seed, "jobs": args.jobs,
-                "no_cache": bool(args.no_cache),
+                "seed": args.seed, "no_cache": bool(args.no_cache),
                 "max_retries": args.max_retries,
-                "chunk_timeout": args.chunk_timeout,
                 "chunk_windows": args.chunk_windows}
     # atomic write: a SIGKILL mid-write must never leave a truncated
     # manifest that would block `repro resume`
@@ -433,7 +422,6 @@ def _cmd_campaign(args) -> int:
         args.emit_events = str(pathlib.Path(args.run_dir) / "events.jsonl")
         print(f"events: {args.emit_events}", file=sys.stderr)
     policy = SupervisorPolicy(max_retries=args.max_retries,
-                              chunk_timeout=args.chunk_timeout,
                               chunk_windows=args.chunk_windows)
     if args.run_dir:       # before the journal exists: a run dir with a
         _save_campaign_args(args)       # journal is always resumable
@@ -482,9 +470,10 @@ def _print_quarantine(supervisor) -> None:
               file=sys.stderr)
 
 
-#: campaign.json fields ``repro resume`` re-validates before running
-_RESUME_CHECKED = ("faults", "seed", "jobs", "max_retries",
-                   "chunk_timeout", "chunk_windows")
+#: campaign.json fields ``repro resume`` re-validates before running;
+#: any other field (``jobs``, ``chunk_timeout`` and ``batch_lanes`` from
+#: older run dirs) is ignored
+_RESUME_CHECKED = ("faults", "seed", "max_retries", "chunk_windows")
 
 
 def _cmd_resume(args) -> int:
@@ -513,12 +502,10 @@ def _cmd_resume(args) -> int:
     namespace = argparse.Namespace(
         command="campaign", name=saved["name"], scheme=saved["scheme"],
         faults=saved["faults"], seed=saved["seed"],
-        jobs=args.jobs if args.jobs is not None else saved.get("jobs"),
         no_cache=bool(saved.get("no_cache", False)),
         emit_events=args.emit_events, profile=False,
         run_dir=str(run_dir),
         max_retries=int(saved.get("max_retries", 3)),
-        chunk_timeout=saved.get("chunk_timeout"),
         chunk_windows=int(saved.get("chunk_windows", 8)))
     return _cmd_campaign(namespace)
 

@@ -151,8 +151,9 @@ class TandemClassifier:
     def advance_golden(self, golden: PipelineCore,
                        records: Sequence[FaultRecord]) -> None:
         """Advance *golden* through *records* exactly as the serial
-        classifier's golden side would (the dispatcher's one golden pass
-        that captures chunk-boundary checkpoints)."""
+        classifier's golden side would (the supervisor stepping its live
+        golden to a chunk's boundary, or a golden pass capturing
+        chunk-boundary checkpoints)."""
         self._arm_sanitizer(golden)
         for record in records:
             self._skip_window(golden, record)

@@ -224,15 +224,26 @@ class ArtifactCache:
 
     # -- maintenance ---------------------------------------------------
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
+        """Delete every cache entry with its manifest; returns the number
+        of entries removed. Manifests whose entry is already gone go
+        too, and so does each kind directory left empty. ``quarantine/``
+        is kept: it holds corrupt entries for post-mortem inspection."""
         removed = 0
         if not self.root.exists():
             return removed
-        for path in self.root.rglob("*.pkl"):
+        for kind_dir in self.root.iterdir():
+            if not kind_dir.is_dir() or kind_dir.name == "quarantine":
+                continue
+            for pattern in ("*.pkl", "*.manifest.json"):
+                for path in kind_dir.glob(pattern):
+                    try:
+                        path.unlink()
+                    except OSError:
+                        continue
+                    removed += pattern == "*.pkl"
             try:
-                path.unlink()
-                removed += 1
-            except OSError:
+                kind_dir.rmdir()
+            except OSError:     # not empty: a write in flight, say
                 pass
         return removed
 

@@ -234,9 +234,10 @@ class _WarmupMark:
 class ExperimentContext:
     """Caches programs, runs and campaigns across figure regenerations.
 
-    ``jobs`` sizes the worker pool for campaign/figure fan-out (default
-    ``os.cpu_count()``; ``jobs=1`` runs everything in-process — the
-    parallel paths produce bit-for-bit identical results). ``cache`` is
+    ``jobs`` sizes the worker pool for :meth:`prefetch`'s artefact
+    fan-out (default ``os.cpu_count()``; ``jobs=1`` runs everything
+    in-process — the parallel paths produce bit-for-bit identical
+    results). A campaign phase's windows always run in-process. ``cache`` is
     an optional persistent :class:`~repro.harness.cache.ArtifactCache`;
     when given, fault-free runs, campaigns and coverage phases are
     reloaded from disk instead of recomputed (the key includes a
@@ -257,7 +258,7 @@ class ExperimentContext:
         #: sink, so phases span/emit unconditionally at zero cost.
         self.events = events if events is not None else NULL_LOG
         #: The one counter of this context's execution facts — cache
-        #: traffic, windows, checkpoints, phase seconds, supervisor and
+        #: traffic, windows, phase seconds, supervisor and
         #: core totals (``repro.obs.metrics``). Live unless the caller
         #: passes :data:`~repro.obs.metrics.NULL_METRICS` to switch it
         #: off; :attr:`metrics` reads it.
@@ -266,11 +267,10 @@ class ExperimentContext:
         #: The :class:`~repro.harness.supervisor.Supervisor` every
         #: campaign phase's windows run under; without one from the
         #: caller, a journal-less default (retries and quarantine, no
-        #: run dir, no fsync) that keeps a single-chunk phase in-process.
+        #: run dir, no fsync).
         self.supervisor = (supervisor if supervisor is not None
-                           else Supervisor(SupervisorPolicy(
-                               inline_single_chunk=True)))
-        self.supervisor.bind(jobs=self.jobs, events=self.events,
+                           else Supervisor(SupervisorPolicy()))
+        self.supervisor.bind(events=self.events,
                              metrics=self.metrics_registry)
         if cache is not None and cache.events is NULL_LOG:
             cache.events = self.events

@@ -13,16 +13,16 @@ configuration). Two granularities:
   task runs in a private ``jobs=1`` context, so a whole campaign phase
   in a worker takes the same supervised serial route as one in the
   parent;
-- **window level** — the pieces :class:`~repro.harness.supervisor.
-  Supervisor` uses to split one phase's fault list across its pool:
-  :func:`chunk_bounds` / :func:`align_chunk_bounds` cut the list into
-  contiguous chunks, :func:`iter_chunk_checkpoints` runs *one* golden
-  pass yielding a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at
-  each chunk boundary as soon as it is captured (in memory, for that
-  phase only), and :func:`window_chunk_task` restores a boundary and
-  classifies only its chunk — total golden work stays linear in the
-  fault count, and checkpoint restore is bit-for-bit the state the
-  serial classifier carries into the chunk.
+- **window level** — :func:`chunk_bounds` / :func:`align_chunk_bounds`
+  cut one phase's fault list into the contiguous chunks that
+  :class:`~repro.harness.supervisor.Supervisor` journals and retries
+  (it classifies them in-process, threading one live golden core).
+  :func:`chunk_checkpoints` runs *one* golden pass capturing a
+  :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at each chunk
+  boundary, and :func:`window_chunk_task` restores a boundary and
+  classifies only its chunk — bit-for-bit the state the serial
+  classifier carries into the chunk. No campaign runs them; they are
+  the shipped-checkpoint reference that perfbench times in-process.
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``,
 fork start method where available); each keeps a private serial
@@ -37,18 +37,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import HardwareConfig
 from ..faults import CampaignResult
 from ..faults.classifier import WindowResult
 from ..faults.model import FaultRecord
 from ..obs.events import NULL_LOG, WORKER_DIR_ENV, worker_task_span
-from ..obs.metrics import NULL_METRICS, SECONDS_BUCKETS, worker_metrics
+from ..obs.metrics import NULL_METRICS, worker_metrics
 from ..pipeline.checkpoint import CoreCheckpoint
 
 # ----------------------------------------------------------------------
@@ -256,54 +253,19 @@ def coverage_task(args) -> CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# window-level tasks (chunks of one campaign per worker)
+# window-level tasks (one phase classified chunk by chunk)
 # ----------------------------------------------------------------------
-@dataclass
-class CheckpointStats:
-    """One golden pass's throughput: the supervisor watchdog's evidence
-    for its per-window deadline estimate."""
-
-    golden_pass_seconds: float = 0.0
-    #: windows the pass stepped the golden core through — the
-    #: denominator of the watchdog's per-window estimate
-    windows_stepped: int = 0
-
-
 def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
                       records: Sequence[FaultRecord],
                       bounds: Sequence[Tuple[int, int]],
-                      events=None, ctx=None,
-                      stats: Optional[CheckpointStats] = None
-                      ) -> List[CoreCheckpoint]:
-    """Every chunk boundary's :class:`CoreCheckpoint`, in *bounds* order:
-    :func:`iter_chunk_checkpoints` run to completion."""
-    return list(iter_chunk_checkpoints(cfg, hw, benchmark, scheme, records,
-                                       bounds, events=events, ctx=ctx,
-                                       stats=stats))
-
-
-def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
-                           records: Sequence[FaultRecord],
-                           bounds: Sequence[Tuple[int, int]],
-                           events=None, ctx=None,
-                           stats: Optional[CheckpointStats] = None
-                           ) -> Iterator[CoreCheckpoint]:
-    """One golden pass yielding a :class:`CoreCheckpoint` per chunk
-    boundary as soon as it exists, so no chunk worker steps the golden
-    core from window zero and the supervisor can dispatch a chunk while
-    the pass is still capturing later boundaries.
-
-    Boundaries are visited in ascending window order; one live golden
-    core advances from each to the next, so the pass steps every window
-    before the last boundary once. The checkpoints live in memory only,
-    for the phase that captured them. *stats* is updated before each
-    yield; only time spent inside the pass counts toward
-    ``golden_pass_seconds``, not time the consumer spends between
-    boundaries. The live golden core is dropped before the last boundary
-    is yielded. Captures count into *ctx*'s registry as they happen.
+                      ctx=None) -> List[CoreCheckpoint]:
+    """Every chunk boundary's :class:`CoreCheckpoint`, in *bounds* order,
+    from one golden pass: a live golden core advances from each boundary
+    to the next, so the pass steps every window before the last boundary
+    once. With :func:`window_chunk_task` it classifies a phase chunk by
+    chunk from shipped checkpoints, the way perfbench's in-process
+    reference times it; the supervisor threads a live core instead.
     """
-    events = events if events is not None else NULL_LOG
-    stats = stats if stats is not None else CheckpointStats()
     if ctx is None:
         ctx = _worker_context(cfg, hw)
     campaign = ctx.build_campaign(benchmark)
@@ -313,43 +275,20 @@ def iter_chunk_checkpoints(cfg, hw, benchmark: str, scheme,
         factory = lambda: ctx.make_core(benchmark, scheme)
     classifier = campaign.classifier(factory)
     records = list(records)
-    label = scheme or "baseline"
-    metrics = ctx.metrics_registry
-    golden = None       # live core, advanced through records[:golden_at]
+    golden = factory() if bounds else None
     golden_at = 0
-    elapsed = 0.0
-    for index, (lo, _hi) in enumerate(bounds):
-        started = time.perf_counter()
-        if golden is None:
-            golden = factory()
-        with events.span("checkpoint:capture", benchmark=benchmark,
-                         scheme=label, window=lo):
-            classifier.advance_golden(golden, records[golden_at:lo])
-            stats.windows_stepped += lo - golden_at
-            golden_at = lo
-            # chunk boundaries are the natural sanitizer sites: a
-            # structurally broken golden core must never be shipped to
-            # a chunk worker (no-op when not armed)
-            golden.check_invariants()
-            resume = records[lo - 1].inject_at_commit if lo else 0
-            checkpoint = CoreCheckpoint.capture(
-                golden, window_index=lo, resume_at_commit=resume)
-        metrics.counter("checkpoints_captured_total").inc()
-        events.emit("checkpoint", action="capture", window=lo,
-                    benchmark=benchmark, scheme=label,
-                    bytes=checkpoint.nbytes,
-                    committed=checkpoint.committed,
-                    cycle=checkpoint.cycle)
-        step = time.perf_counter() - started
-        elapsed += step
-        stats.golden_pass_seconds += step
-        if index == len(bounds) - 1:
-            # the pass is over: release the live golden core before the
-            # consumer runs the last chunks, and record the pass
-            golden = None
-            metrics.histogram("golden_pass_seconds",
-                              SECONDS_BUCKETS).observe(elapsed)
-        yield checkpoint
+    checkpoints = []
+    for lo, _hi in bounds:
+        classifier.advance_golden(golden, records[golden_at:lo])
+        golden_at = lo
+        # chunk boundaries are the natural sanitizer sites: a
+        # structurally broken golden core must never be shipped to a
+        # chunk task (no-op when not armed)
+        golden.check_invariants()
+        resume = records[lo - 1].inject_at_commit if lo else 0
+        checkpoints.append(CoreCheckpoint.capture(
+            golden, window_index=lo, resume_at_commit=resume))
+    return checkpoints
 
 
 def window_chunk_task(args) -> List[WindowResult]:
@@ -385,13 +324,11 @@ def window_chunk_task(args) -> List[WindowResult]:
 
 
 __all__ = [
-    "CheckpointStats",
     "ParallelExecutor",
     "align_chunk_bounds",
     "chunk_bounds",
     "chunk_checkpoints",
     "default_jobs",
-    "iter_chunk_checkpoints",
     "fault_free_task",
     "srt_task",
     "characterize_task",

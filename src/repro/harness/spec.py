@@ -61,10 +61,8 @@ TASK_DEFAULTS: Dict[str, Any] = {
     "scheme": "faulthound",
     "faults": 60,
     "seed": 3,
-    "jobs": None,
     "no_cache": False,
     "max_retries": 3,
-    "chunk_timeout": None,
     "chunk_windows": 8,
 }
 
@@ -133,17 +131,6 @@ def validate_task(task: Dict[str, Any], where: str = "task") -> List[str]:
     seed = task.get("seed", TASK_DEFAULTS["seed"])
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append(f"{where}: seed must be an integer (got {seed!r})")
-    jobs = task.get("jobs")
-    if jobs is not None and (not isinstance(jobs, int)
-                             or isinstance(jobs, bool) or jobs < 1):
-        errors.append(f"{where}: jobs must be null or an integer >= 1 "
-                      f"(got {jobs!r})")
-    timeout = task.get("chunk_timeout")
-    if timeout is not None and (not isinstance(timeout, (int, float))
-                                or isinstance(timeout, bool)
-                                or timeout <= 0):
-        errors.append(f"{where}: chunk_timeout must be null or a "
-                      f"positive number (got {timeout!r})")
     if not isinstance(task.get("no_cache", False), bool):
         errors.append(f"{where}: no_cache must be a boolean")
     return errors
@@ -355,12 +342,8 @@ def task_argv(task: Dict[str, Any],
             "--seed", str(task["seed"]),
             "--max-retries", str(task.get("max_retries", 3)),
             "--chunk-windows", str(task.get("chunk_windows", 8))]
-    if task.get("jobs") is not None:
-        argv += ["--jobs", str(task["jobs"])]
     if task.get("no_cache"):
         argv.append("--no-cache")
-    if task.get("chunk_timeout") is not None:
-        argv += ["--chunk-timeout", str(task["chunk_timeout"])]
     if run_dir is not None:
         argv += ["--run-dir", str(run_dir)]
     return argv

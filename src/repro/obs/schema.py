@@ -32,6 +32,7 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     # no longer written; kept so logs from before their removal validate
     "counter": {"name": (str,), "value": _NUMBER},
     "cache": {"kind": (str,), "key": (str,), "hit": (bool,)},
+    # no longer written; kept so logs from before their removal validate
     "checkpoint": {"action": (str,), "window": (int,)},
     "worker_start": {},
     "worker_merge": {"worker_pid": (int,), "events": (int,)},
@@ -95,12 +96,14 @@ OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
 #: The recovery labels a ``fault_audit`` event may carry.
 RECOVERY_LABELS = ("rollback", "replay", "singleton", "suppress", "none")
 
-#: The actions a ``checkpoint`` event may carry: the golden pass
-#: captured a chunk-boundary checkpoint.
-CHECKPOINT_ACTIONS = ("capture",
-                      "hit")    # no longer written; kept for older logs
+#: The actions a ``checkpoint`` event may carry: a golden pass captured
+#: a chunk-boundary checkpoint. No longer written (campaigns capture no
+#: checkpoints); kept so older logs validate.
+CHECKPOINT_ACTIONS = ("capture", "hit")
 
-#: The lifecycle actions a ``supervisor`` event may carry.
+#: The lifecycle actions a ``supervisor`` event may carry (``timeout``
+#: and ``pool_rebuild`` came from the retired chunk pool; older logs
+#: carry them).
 SUPERVISOR_ACTIONS = ("plan", "chunk_done", "retry", "timeout",
                       "pool_rebuild", "bisect", "quarantine", "drain",
                       "phase_done")

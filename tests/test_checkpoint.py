@@ -1,10 +1,10 @@
 """Checkpoint/restore subsystem tests.
 
-The tentpole contract: the purpose-built ``clone()`` protocol, the
-pickled :class:`CoreCheckpoint`, and the supervisor's in-memory golden
-pass are pure accelerators — the unchunked ``Campaign`` reference,
-checkpointed-serial and supervised-pool classification are bit-for-bit
-identical, and the never-rewind contract survives the hand-off.
+The contract: the purpose-built ``clone()`` protocol and the pickled
+:class:`CoreCheckpoint` are pure mechanism — the unchunked ``Campaign``
+reference, supervised and checkpointed-serial classification are
+bit-for-bit identical, and the never-rewind contract survives the
+hand-off.
 """
 
 import copy
@@ -334,16 +334,13 @@ class TestThreePathEquivalence:
             "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
             characterization)
 
-    def test_parallel_and_checkpointed_serial(self, serial, tmp_path):
+    def test_supervised_and_checkpointed_serial(self, serial, tmp_path):
         serial_char, serial_cov = serial
 
-        # the supervised pool captures checkpoints in its golden pass
-        cold = ExperimentContext(_TINY, jobs=3, cache=ArtifactCache(tmp_path))
+        # the supervisor threads one live golden core through its chunks
+        cold = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         _, cold_char = cold.campaign("mcf")
-        counts = cold.metrics_registry.snapshot()
         cold_cov = cold.coverage("mcf", "faulthound")
-        assert counts["counters"]["checkpoints_captured_total"] > 0
-        assert counts["histograms"]["golden_pass_seconds"]["sum"] > 0
 
         # checkpointed-serial: classify straight from a restored boundary
         ctx = ExperimentContext(_TINY, jobs=1)
@@ -378,54 +375,3 @@ class TestThreePathEquivalence:
         assert audit(resumed_char, "characterize") == want_audit
         assert (audit(cold_cov, "coverage")
                 == audit(serial_cov, "coverage"))
-
-    def test_parallel_campaign_persists_no_checkpoints(self, serial,
-                                                       tmp_path):
-        """Chunk-boundary checkpoints live in memory only: a pooled
-        campaign and coverage phase with an artifact cache write no
-        ``checkpoint/`` entry, and their results equal ``jobs=1``."""
-        def run(jobs, root):
-            ctx = ExperimentContext(_TINY, jobs=jobs,
-                                    cache=ArtifactCache(root))
-            _, characterization = ctx.campaign("mcf")
-            coverage = ctx.coverage("mcf", "faulthound")
-            return (ctx.metrics_registry.snapshot()["counters"],
-                    characterization, coverage)
-
-        counts, parallel_char, parallel_cov = run(2, tmp_path / "jobs2")
-        _, serial_char, serial_cov = run(1, tmp_path / "jobs1")
-        assert counts["checkpoints_captured_total"] > 0
-        assert (tmp_path / "jobs2" / "characterize").is_dir()
-        assert not (tmp_path / "jobs2" / "checkpoint").exists()
-        assert (_char_signature(parallel_char)
-                == _char_signature(serial_char)
-                == _char_signature(serial[0]))
-        assert (_cov_signature(parallel_cov) == _cov_signature(serial_cov)
-                == _cov_signature(serial[1]))
-
-    def test_checkpoint_stats_flow_into_metrics(self):
-        ctx = ExperimentContext(_TINY, jobs=2)
-        campaign = ctx.build_campaign("mcf")
-
-        def classify():
-            """(captured, hits) this classification added to the
-            context's registry."""
-            def counts():
-                counters = ctx.metrics_registry.snapshot()["counters"]
-                return (counters.get("checkpoints_captured_total", 0),
-                        counters.get("checkpoint_hits_total", 0))
-
-            before = counts()
-            ctx.supervisor.classify_windows(
-                _TINY, ctx.hw, "mcf", None,
-                [r.fresh_copy() for r in campaign.records],
-                phase="characterize", ctx=ctx)
-            return tuple(b - a for a, b in zip(before, counts()))
-
-        planned = ctx.supervisor._chunk_gaps(
-            [(0, len(campaign.records))], 2, campaign.records)
-        assert len(planned) > 1
-        # each classification steps its own golden pass: every planned
-        # boundary is captured again, none is reused
-        assert classify() == (len(planned), 0)
-        assert classify() == (len(planned), 0)

@@ -117,18 +117,15 @@ def test_campaign_rejects_retired_lane_flag(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["campaign", "mcf", "--jobs", "0"], "must be >= 1"),
-    (["campaign", "mcf", "--jobs", "-3"], "must be >= 1"),
     (["figure", "fig7", "--jobs", "0"], "must be >= 1"),
-    (["resume", "run", "--jobs", "0"], "must be >= 1"),
+    (["figure", "fig7", "--jobs", "-3"], "must be >= 1"),
     (["campaign", "mcf", "--faults", "0"], "must be >= 1"),
-    (["campaign", "mcf", "--chunk-windows", "0"], "must be >= 1"),
-    (["campaign", "mcf", "--max-retries", "-1"], "must be >= 0"),
-    (["campaign", "mcf", "--chunk-timeout", "-5"], "must be > 0"),
-    (["campaign", "mcf", "--chunk-timeout", "0"], "must be > 0"),
-    (["campaign", "mcf", "--chunk-timeout", "nan"], "must be > 0"),
-    (["campaign", "mcf", "--jobs", "two"], "is not an integer"),
     (["campaign", "mcf", "--faults", "-3"], "must be >= 1"),
+    (["campaign", "mcf", "--chunk-windows", "0"], "must be >= 1"),
+    (["campaign", "mcf", "--chunk-windows", "-3"], "must be >= 1"),
+    (["campaign", "mcf", "--max-retries", "-1"], "must be >= 0"),
+    (["figure", "fig7", "--jobs", "two"], "is not an integer"),
+    (["campaign", "mcf", "--faults", "many"], "is not an integer"),
 ])
 def test_parser_rejects_bad_execution_values(capsys, argv, message):
     """Regression: these used to be clamped silently (exit 0) although
@@ -141,21 +138,35 @@ def test_parser_rejects_bad_execution_values(capsys, argv, message):
 
 def test_parser_accepts_execution_bounds():
     args = build_parser().parse_args(
-        ["campaign", "mcf", "--jobs", "1", "--chunk-windows", "1",
-         "--max-retries", "0", "--chunk-timeout", "0.5"])
-    assert (args.jobs, args.chunk_windows, args.max_retries,
-            args.chunk_timeout) == (1, 1, 0, 0.5)
+        ["campaign", "mcf", "--chunk-windows", "1", "--max-retries", "0"])
+    assert (args.chunk_windows, args.max_retries) == (1, 0)
+    assert build_parser().parse_args(
+        ["figure", "fig7", "--jobs", "1"]).jobs == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "mcf", "--jobs", "2"],
+    ["campaign", "mcf", "--chunk-timeout", "5"],
+    ["resume", "run", "--jobs", "2"],
+])
+def test_campaign_rejects_retired_execution_flags(capsys, argv):
+    """A campaign runs its phases in-process, one after the other, with
+    no worker pool and no watchdog: the flags that steered them are
+    gone, so the parser rejects them like any unknown argument."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
-    ("jobs", 0), ("chunk_windows", 0), ("max_retries", -1),
-    ("chunk_timeout", -5), ("faults", 0), ("seed", "3")])
+    ("chunk_windows", 0), ("max_retries", -1), ("faults", 0),
+    ("seed", "3")])
 def test_resume_rejects_bad_saved_execution_values(tmp_path, capsys,
                                                    field, value):
     saved = {"command": "campaign", "name": "mcf", "scheme": "faulthound",
-             "faults": 2, "seed": 3, "jobs": 1, "no_cache": True,
-             "max_retries": 3, "chunk_timeout": None, "chunk_windows": 8,
-             field: value}
+             "faults": 2, "seed": 3, "no_cache": True, "max_retries": 3,
+             "chunk_windows": 8, field: value}
     (tmp_path / "campaign.json").write_text(json.dumps(saved))
     code, out, err = run_cli(capsys, "resume", str(tmp_path))
     assert code == 1
@@ -192,7 +203,7 @@ def test_campaign_emit_events_then_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     events = tmp_path / "events.jsonl"
     code, _, err = run_cli(capsys, "campaign", "mcf", "--faults", "6",
-                           "--jobs", "2", "--emit-events", str(events))
+                           "--emit-events", str(events))
     assert code == 0
     assert events.exists()
     assert (tmp_path / "events.jsonl.manifest.json").exists()
@@ -270,6 +281,64 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert code == 0 and "removed 1 entry" in out
 
 
+def test_cache_clear_leaves_no_manifests(tmp_path, capsys, monkeypatch):
+    """`cache clear` after a cold cached campaign removes each entry's
+    manifest and an orphaned one too, then the kind directories it
+    emptied; the quarantine is kept."""
+    from repro.harness.cache import ArtifactCache
+    root = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    code, _, _ = run_cli(capsys, "campaign", "mcf", "--faults", "4")
+    assert code == 0
+    entries = ArtifactCache(root).entry_count()
+    manifests = list(root.rglob("*.manifest.json"))
+    assert entries > 0 and len(manifests) == entries
+    (root / "characterize" / "gone.manifest.json").write_text("{}")
+    (root / "quarantine").mkdir()
+    (root / "quarantine" / "x.pkl.corrupt").write_bytes(b"")
+    code, out, _ = run_cli(capsys, "cache", "clear")
+    assert code == 0
+    assert f"removed {entries} entries" in out
+    assert not list(root.rglob("*.manifest.json"))
+    assert sorted(p.name for p in root.iterdir()) == ["quarantine"]
+    assert (root / "quarantine" / "x.pkl.corrupt").exists()
+
+
+def test_transient_chunk_failures_leave_stdout_unchanged(tmp_path, capsys,
+                                                         monkeypatch):
+    """Chunks whose first attempt raises are retried: the campaign's
+    stdout is byte-identical to a clean run's, nothing is quarantined,
+    and the run dir's event log records the retries."""
+    from repro.faults.classifier import TandemClassifier
+    from repro.obs import read_events
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ("campaign", "mcf", "--faults", "40", "--no-cache")
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0
+    real_run = TandemClassifier.run
+    failed = set()
+
+    def flaky(self, records, **kwargs):
+        first = (records[0].index, len(records))
+        if records[0].index % 3 == 0 and first not in failed:
+            failed.add(first)
+            raise RuntimeError("injected transient failure")
+        return real_run(self, records, **kwargs)
+
+    monkeypatch.setattr(TandemClassifier, "run", flaky)
+    run_dir = tmp_path / "run"
+    code, out, _ = run_cli(capsys, *argv, "--run-dir", str(run_dir))
+    assert code == 0
+    assert out == clean
+    assert len(failed) > 1
+    summary = _status(capsys, run_dir)
+    assert summary["state"] == "complete"
+    assert summary["quarantined"] == 0
+    retries = [e for e in read_events(run_dir / "events.jsonl")
+               if e["type"] == "supervisor" and e.get("action") == "retry"]
+    assert len(retries) == len(failed)
+
+
 def test_resume_requires_campaign_manifest(tmp_path, capsys):
     code, _, err = run_cli(capsys, "resume", str(tmp_path))
     assert code == 1
@@ -301,7 +370,7 @@ def test_supervised_campaign_cli_roundtrip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_dir = tmp_path / "run"
     code, out, err = run_cli(capsys, "campaign", "mcf", "--faults", "6",
-                             "--jobs", "2", "--run-dir", str(run_dir))
+                             "--run-dir", str(run_dir))
     assert code == 0
     assert (run_dir / "journal.jsonl").exists()
     assert (run_dir / "campaign.json").exists()
@@ -330,7 +399,7 @@ def test_status_counts_resumed_windows_once(tmp_path, capsys,
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_dir = tmp_path / "run"
     code, first, _ = run_cli(capsys, "campaign", "mcf", "--faults", "6",
-                             "--jobs", "1", "--chunk-windows", "2",
+                             "--chunk-windows", "2",
                              "--no-cache", "--run-dir", str(run_dir))
     assert code == 0
     finished = _status(capsys, run_dir)
@@ -360,8 +429,7 @@ def test_status_incomplete_between_phases(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_dir = tmp_path / "run"
     code, first, _ = run_cli(capsys, "campaign", "mcf", "--faults", "6",
-                             "--jobs", "1", "--no-cache",
-                             "--run-dir", str(run_dir))
+                             "--no-cache", "--run-dir", str(run_dir))
     assert code == 0
     journal = run_dir / "journal.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
@@ -393,7 +461,6 @@ def test_status_complete_when_cache_serves_phases(tmp_path, capsys,
     outputs = []
     for run in ("cold", "warm"):
         code, out, _ = run_cli(capsys, "campaign", "mcf", "--faults", "6",
-                               "--jobs", "1",
                                "--run-dir", str(tmp_path / run))
         assert code == 0
         outputs.append(out)
@@ -434,24 +501,29 @@ def test_status_rejects_corrupt_journal(tmp_path, capsys):
 
 def test_resume_ignores_retired_field_in_saved_run_dir(tmp_path, capsys,
                                                       monkeypatch):
-    """Run dirs saved by older versions carry a lane-batch width in
-    campaign.json; resume ignores it and reproduces the equivalent
-    campaign's stdout."""
+    """Run dirs saved by older versions carry a lane-batch width, a
+    worker count and a chunk watchdog deadline in campaign.json; resume
+    ignores them and reproduces the equivalent campaign's stdout."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     code, expected, _ = run_cli(capsys, "campaign", "mcf", "--faults", "4",
-                                "--seed", "3", "--jobs", "1", "--no-cache",
+                                "--seed", "3", "--no-cache",
                                 "--run-dir", str(tmp_path / "fresh"))
     assert code == 0
-    old = tmp_path / "old"
-    old.mkdir()
-    (old / "campaign.json").write_text(json.dumps({
-        "batch_lanes": 8, "chunk_timeout": None, "chunk_windows": 8,
-        "command": "campaign", "faults": 4, "jobs": 1, "max_retries": 3,
-        "name": "mcf", "no_cache": True, "scheme": "faulthound",
-        "seed": 3}, indent=2, sort_keys=True))
-    code, out, _ = run_cli(capsys, "resume", str(old))
-    assert code == 0
-    assert out == expected
+    assert not {"jobs", "chunk_timeout"} & set(json.loads(
+        (tmp_path / "fresh" / "campaign.json").read_text()))
+    for name, retired in (("lanes", {"batch_lanes": 8, "jobs": 1,
+                                     "chunk_timeout": None}),
+                          ("pool", {"jobs": 4, "chunk_timeout": 5})):
+        old = tmp_path / name
+        old.mkdir()
+        (old / "campaign.json").write_text(json.dumps({
+            "chunk_windows": 8, "command": "campaign", "faults": 4,
+            "max_retries": 3, "name": "mcf", "no_cache": True,
+            "scheme": "faulthound", "seed": 3, **retired},
+            indent=2, sort_keys=True))
+        code, out, _ = run_cli(capsys, "resume", str(old))
+        assert code == 0
+        assert out == expected
 
 
 def test_run_dir_defaults_event_log_into_it(tmp_path, capsys,
@@ -461,7 +533,7 @@ def test_run_dir_defaults_event_log_into_it(tmp_path, capsys,
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     run_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, "campaign", "mcf", "--faults", "4",
-                           "--jobs", "1", "--run-dir", str(run_dir))
+                           "--run-dir", str(run_dir))
     assert code == 0
     assert (run_dir / "events.jsonl").exists()
     assert f"events: {run_dir / 'events.jsonl'}" in err

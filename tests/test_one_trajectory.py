@@ -35,8 +35,7 @@ from repro.obs.metrics import MetricsRegistry, snapshot_from_events
 _CFG = ExperimentConfig(benchmarks=("mcf", "apache"), dynamic_target=1_200,
                         num_faults=10, warmup_commits=200,
                         window_commits=100)
-_FAST = dict(backoff_base=0.001, backoff_max=0.002,
-             inline_single_chunk=True)
+_FAST = dict(backoff_base=0.001, backoff_max=0.002)
 
 
 def _windows(result):

@@ -104,11 +104,12 @@ class TestValidation:
     def test_numeric_bounds(self):
         with pytest.raises(SpecError, match="faults"):
             compile_spec(_src(defaults={"benchmark": "mcf", "faults": 0}))
-        with pytest.raises(SpecError, match="jobs"):
-            compile_spec(_src(defaults={"benchmark": "mcf", "jobs": 0}))
-        with pytest.raises(SpecError, match="chunk_timeout"):
+        with pytest.raises(SpecError, match="chunk_windows"):
             compile_spec(_src(defaults={"benchmark": "mcf",
-                                        "chunk_timeout": -1}))
+                                        "chunk_windows": 0}))
+        with pytest.raises(SpecError, match="max_retries"):
+            compile_spec(_src(defaults={"benchmark": "mcf",
+                                        "max_retries": -1}))
 
     def test_unknown_fields_rejected_everywhere(self):
         with pytest.raises(SpecError, match="bogus"):
@@ -120,10 +121,11 @@ class TestValidation:
         with pytest.raises(SpecError, match="bogus"):
             compile_spec(_src(tasks=[{"bogus": 1}]))
         # a retired knob is just another unknown field
-        with pytest.raises(SpecError,
-                           match="unknown task field 'batch_lanes'"):
-            compile_spec(_src(tasks=[{"benchmark": "mcf",
-                                      "batch_lanes": 4}]))
+        for retired in ("batch_lanes", "jobs", "chunk_timeout"):
+            with pytest.raises(SpecError,
+                               match=f"unknown task field '{retired}'"):
+                compile_spec(_src(tasks=[{"benchmark": "mcf",
+                                          retired: 4}]))
 
     def test_wrong_kind_and_version_rejected(self):
         with pytest.raises(SpecError, match="kind"):
@@ -144,14 +146,15 @@ class TestValidation:
 class TestTaskArgv:
     def test_every_knob_is_explicit(self):
         run = compile_spec(_src(defaults={
-            "benchmark": "mcf", "faults": 5,
-            "no_cache": True, "chunk_timeout": 2.5, "jobs": 3}))
+            "benchmark": "mcf", "faults": 5, "no_cache": True,
+            "max_retries": 2, "chunk_windows": 4}))
         argv = task_argv(run["tasks"][0], run_dir="/r")
         text = " ".join(argv)
         assert argv[0] == "campaign" and argv[1] == "mcf"
-        assert "--jobs 3" in text
+        assert "--faults 5" in text
+        assert "--max-retries 2" in text
+        assert "--chunk-windows 4" in text
         assert "--no-cache" in text
-        assert "--chunk-timeout 2.5" in text
         assert "--run-dir /r" in text
 
     def test_argv_parses_back_through_the_real_parser(self):

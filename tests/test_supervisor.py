@@ -1,17 +1,15 @@
 """Tests for the resilient campaign supervisor.
 
 The contract under test: supervision is a pure reliability layer — on a
-healthy machine the supervised serial, supervised pool, crash-retried
-and resumed-after-SIGKILL paths all yield bit-for-bit the results of the
-unchunked ``Campaign.characterize`` / ``run_coverage`` reference, and a
+healthy machine the supervised, failure-retried and resumed-after-
+SIGKILL paths all yield bit-for-bit the results of the unchunked
+``Campaign.characterize`` / ``run_coverage`` reference, and a
 deterministically poisonous window is bisected and quarantined without
 taking its neighbours down with it.
 
-Worker chaos is injected through the ``REPRO_CHAOS_*`` environment
-variables read by :func:`repro.harness.supervisor.chaos_probe`, which
-runs only inside pool workers (never in-process), so the injected
-SIGKILLs exercise exactly the `BrokenProcessPool` machinery a real
-worker death would.
+Failures are injected in-process by patching
+:meth:`TandemClassifier.run <repro.faults.classifier.TandemClassifier.
+run>`, the call each chunk makes.
 """
 
 import json
@@ -26,12 +24,11 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import Campaign
+from repro.faults.classifier import TandemClassifier
 from repro.harness import (ExperimentConfig, ExperimentContext, Supervisor,
                            SupervisorPolicy, summarize_run_dir)
-from repro.harness.parallel import CheckpointStats
 from repro.harness.supervisor import (CampaignAborted, CampaignJournal,
-                                      EXIT_ABORTED, EXIT_QUARANTINE,
-                                      _chaos_indices, _Chunk, _Phase)
+                                      EXIT_ABORTED, EXIT_QUARANTINE)
 
 # geometry matching `repro campaign mcf --faults 10`: produces a small
 # but non-empty SDC set, so the coverage phase is exercised for real
@@ -52,6 +49,23 @@ def serial_reference():
         "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
         characterization)
     return characterization, coverage
+
+
+def _fail_first_attempts(monkeypatch, every=2):
+    """Make the first attempt of every *every*-th chunk raise (keyed by
+    the chunk's first window); returns the keys that failed."""
+    real_run = TandemClassifier.run
+    failed = set()
+
+    def flaky(self, records, **kwargs):
+        first = records[0].index
+        if first % every == 0 and first not in failed:
+            failed.add(first)
+            raise RuntimeError("injected transient failure")
+        return real_run(self, records, **kwargs)
+
+    monkeypatch.setattr(TandemClassifier, "run", flaky)
+    return failed
 
 
 def _assert_status_matches(run_dir, reports):
@@ -75,45 +89,26 @@ def _assert_status_matches(run_dir, reports):
 
 
 # ----------------------------------------------------------------------
-# dispatcher selection
+# one dispatcher: every phase runs in-process
 # ----------------------------------------------------------------------
 class TestSelection:
-    def test_jobs_1_selects_serial(self):
-        sup = Supervisor(SupervisorPolicy())
-        assert sup._dispatcher(1, chunks=4) == "serial"
-
-    def test_jobs_many_selects_pool(self):
-        sup = Supervisor(SupervisorPolicy())
-        assert sup._dispatcher(4, chunks=4) == "pool"
-
-    def test_single_chunk_uses_pool_by_default(self):
-        """An explicit supervisor keeps the pool's watchdog and crash
-        isolation even for a one-chunk phase."""
-        sup = Supervisor(SupervisorPolicy())
-        assert sup._dispatcher(4, chunks=1) == "pool"
-
-    def test_inline_single_chunk_selects_serial(self):
-        sup = Supervisor(SupervisorPolicy(inline_single_chunk=True))
-        assert sup._dispatcher(4, chunks=1) == "serial"
-        assert sup._dispatcher(4, chunks=2) == "pool"
-
-    def test_force_serial_overrides_everything(self):
-        sup = Supervisor(SupervisorPolicy())
-        sup._force_serial = True
-        assert sup._dispatcher(4, chunks=4) == "serial"
-
     def test_single_chunk_phase_stays_in_process(self, serial_reference,
                                                  monkeypatch, tmp_path):
         """Under the context's own supervisor, a one-SDC coverage phase
-        at jobs>1 plans one chunk and runs it in-process: no pool, no
-        checkpoint golden pass."""
+        at jobs>1 plans one chunk and runs it in-process: no process
+        pool, no checkpoint."""
+        import concurrent.futures
+        from repro.harness import parallel
         from repro.obs import EventLog, read_events
+        from repro.pipeline import CoreCheckpoint
         s_char, s_cov = serial_reference
 
-        def no_pool(self, phase_ctx, workers, report):
-            raise AssertionError("a single-chunk phase built a pool")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a campaign phase left the process")
 
-        monkeypatch.setattr(Supervisor, "_build_pool", no_pool)
+        for owner in (parallel, concurrent.futures):
+            monkeypatch.setattr(owner, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(CoreCheckpoint, "capture", forbidden)
         events_path = tmp_path / "events.jsonl"
         events = EventLog(events_path)
         ctx = ExperimentContext(_TINY, jobs=3, events=events)
@@ -126,34 +121,22 @@ class TestSelection:
         plans = [e for e in read_events(events_path)
                  if e.get("type") == "supervisor"
                  and e.get("action") == "plan"]
-        assert [(p["chunks"], p["executor"]) for p in plans] \
-            == [(1, "serial")]
+        assert [p["chunks"] for p in plans] == [1]
 
     def test_context_builds_a_journal_less_supervisor(self):
         ctx = ExperimentContext(_TINY, jobs=2)
         assert isinstance(ctx.supervisor, Supervisor)
-        assert ctx.supervisor.jobs == 2
         assert ctx.supervisor.run_dir is None
         assert ctx.supervisor.journal is None
-        assert ctx.supervisor.policy.inline_single_chunk
+        assert ctx.supervisor.policy == SupervisorPolicy()
 
 
 # ----------------------------------------------------------------------
 # equivalence on a healthy machine
 # ----------------------------------------------------------------------
 class TestSupervisedEquivalence:
-    def test_supervised_serial_matches_serial(self, serial_reference):
-        s_char, s_cov = serial_reference
-        sup = Supervisor(SupervisorPolicy(chunk_windows=3))
-        ctx = ExperimentContext(_TINY, jobs=1, supervisor=sup)
-        _, characterization = ctx.campaign("mcf")
-        coverage = ctx.coverage("mcf", "faulthound")
-        assert characterization.characterization == s_char.characterization
-        assert coverage.coverage_results == s_cov.coverage_results
-        assert sup.status == "complete" and sup.exit_code == 0
-
-    def test_supervised_pool_matches_serial(self, serial_reference,
-                                            tmp_path):
+    def test_supervised_serial_matches_serial(self, serial_reference,
+                                              tmp_path):
         s_char, s_cov = serial_reference
         sup = Supervisor(SupervisorPolicy(chunk_windows=3),
                          run_dir=tmp_path / "run")
@@ -179,20 +162,20 @@ class TestSupervisedEquivalence:
 
     def test_transient_crashes_retried_to_convergence(
             self, serial_reference, monkeypatch):
-        """Random worker SIGKILLs are retried (on rebuilt pools) until
-        every chunk lands; nobody is quarantined, results identical."""
-        s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_CRASH_RATE", "0.3")
-        sup = Supervisor(SupervisorPolicy(max_retries=6, chunk_windows=2,
-                                          **_FAST_BACKOFF))
-        ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)
+        """Chunks whose first attempt raises are retried until every
+        chunk lands; nobody is quarantined, results identical."""
+        s_char, s_cov = serial_reference
+        failed = _fail_first_attempts(monkeypatch)
+        sup = Supervisor(SupervisorPolicy(chunk_windows=2, **_FAST_BACKOFF))
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=sup)
         _, characterization = ctx.campaign("mcf")
+        coverage = ctx.coverage("mcf", "faulthound")
         assert characterization.characterization == s_char.characterization
+        assert coverage.coverage_results == s_cov.coverage_results
         assert sup.status == "complete"
         assert not sup.quarantined
-        retries = sum(r.retries for r in sup.reports)
-        rebuilds = sum(r.pool_rebuilds for r in sup.reports)
-        assert retries > 0 or rebuilds > 0
+        assert len(failed) > 1
+        assert sum(r.retries for r in sup.reports) >= len(failed)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +192,6 @@ class TestSerialBackoff:
         failed one still completes (from a golden copy at its boundary)
         later."""
         s_char, _ = serial_reference
-        from repro.faults.classifier import TandemClassifier
         real_run = TandemClassifier.run
         calls, tripped = [], []
 
@@ -244,7 +226,6 @@ class TestSerialBackoff:
         as it steps past; the retry restarts from that copy, so the
         phase builds one core more than a healthy one, not two."""
         s_char, _ = serial_reference
-        from repro.faults.classifier import TandemClassifier
         real_run = TandemClassifier.run
         calls = []
 
@@ -275,21 +256,28 @@ class TestSerialBackoff:
 class TestQuarantine:
     def test_poison_window_quarantined_alone(self, serial_reference,
                                              monkeypatch, tmp_path):
-        """A deterministically crashing window is bisected down and
-        quarantined; its innocent pool-mates all complete bit-for-bit."""
+        """A deterministically failing window is bisected down and
+        quarantined; its innocent chunk-mates all complete bit-for-bit."""
         s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_POISON", "baseline:4")
+        real_run = TandemClassifier.run
+
+        def poisoned(self, records, **kwargs):
+            if any(record.index == 4 for record in records):
+                raise RuntimeError("injected deterministic poison")
+            return real_run(self, records, **kwargs)
+
+        monkeypatch.setattr(TandemClassifier, "run", poisoned)
         run_dir = tmp_path / "run"
         sup = Supervisor(SupervisorPolicy(max_retries=1, chunk_windows=3,
                                           **_FAST_BACKOFF),
                          run_dir=run_dir)
-        ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=sup)
         _, characterization = ctx.campaign("mcf")
         sup.close()
         assert sup.status == "complete-with-quarantine"
         assert sup.exit_code == EXIT_QUARANTINE
         assert [q.index for q in sup.quarantined] == [4]
-        assert sup.quarantined[0].reason == "crash"
+        assert sup.quarantined[0].reason == "exception"
         expected = [w for i, w in enumerate(s_char.characterization)
                     if i != 4]
         assert characterization.characterization == expected
@@ -305,155 +293,19 @@ class TestQuarantine:
         window = summary["quarantined_windows"][0]
         assert (window["phase"], window["benchmark"], window["scheme"],
                 window["index"], window["reason"]) \
-            == ("characterize", "mcf", "baseline", 4, "crash")
+            == ("characterize", "mcf", "baseline", 4, "exception")
 
-    def test_hung_window_times_out_and_quarantines(self, serial_reference,
-                                                   monkeypatch, tmp_path):
-        """A worker that never returns trips the hard watchdog deadline
-        instead of wedging the campaign."""
-        s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_HANG", "baseline:2")
-        sup = Supervisor(SupervisorPolicy(max_retries=1, bisect_retries=0,
-                                          chunk_windows=3,
-                                          chunk_timeout=1.5,
-                                          soft_timeout_factor=0.0,
-                                          **_FAST_BACKOFF),
-                         run_dir=tmp_path / "run")
-        ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)
-        _, characterization = ctx.campaign("mcf")
-        sup.close()
-        assert sup.status == "complete-with-quarantine"
-        assert [q.index for q in sup.quarantined] == [2]
-        assert sup.quarantined[0].reason == "timeout"
-        assert sum(r.timeouts for r in sup.reports) > 0
-        expected = [w for i, w in enumerate(s_char.characterization)
-                    if i != 2]
-        assert characterization.characterization == expected
-
-    def test_hung_single_window_phase_times_out_and_quarantines(
-            self, serial_reference, monkeypatch, tmp_path):
-        """A one-window phase under an explicit supervisor at jobs>1
-        still runs in the pool, so the watchdog catches a hang."""
-        from repro.obs import EventLog, read_events
-        s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_HANG", "faulthound:0")
-        events_path = tmp_path / "events.jsonl"
-        events = EventLog(events_path)
-        sup = Supervisor(SupervisorPolicy(max_retries=1, bisect_retries=0,
-                                          chunk_timeout=1.5,
-                                          soft_timeout_factor=0.0,
-                                          **_FAST_BACKOFF),
-                         run_dir=tmp_path / "run")
-        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
-                                events=events)
-        sdc = Campaign.sdc_records(s_char)[:1]
-        report = sup.classify_windows(_TINY, ctx.hw, "mcf", "faulthound",
-                                      sdc, phase="coverage", ctx=ctx)
-        sup.close()
-        events.close()
-        assert report.windows == []
-        assert [(q.index, q.reason) for q in report.quarantined] \
-            == [(0, "timeout")]
-        assert report.timeouts > 0
-        plans = [e for e in read_events(events_path)
-                 if e.get("type") == "supervisor"
-                 and e.get("action") == "plan"]
-        assert [(p["chunks"], p["executor"]) for p in plans] \
-            == [(1, "pool")]
-
-    def test_chaos_index_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_POISON",
-                           "baseline:4, faulthound:2, 7")
-        var = "REPRO_CHAOS_POISON"
-        assert _chaos_indices(var, "baseline") == [4, 7]
-        assert _chaos_indices(var, "faulthound") == [2, 7]
-        assert _chaos_indices(var, "pbfs") == [7]
-        monkeypatch.delenv("REPRO_CHAOS_POISON")
-        assert _chaos_indices(var, "baseline") == []
 
 
 # ----------------------------------------------------------------------
-# graceful degradation: the downshift ladder
+# a quarantined phase is never cached
 # ----------------------------------------------------------------------
-class TestDownshiftLadder:
-    def test_build_failure_walks_8_4_2_1_inprocess(
+class TestPartialResults:
+    def test_quarantine_never_caches_partial_results(
             self, serial_reference, monkeypatch, tmp_path):
-        """When the pool cannot be built at all, the supervisor halves
-        the worker count step by step (8 -> 4 -> 2 -> 1) and finally
-        degrades to in-process execution — emitting a ``degradation``
-        event at every rung — instead of aborting, and the results are
-        still bit-for-bit the serial reference."""
-        from repro.obs import EventLog, read_events
-        s_char, _ = serial_reference
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: None)
-        events_path = tmp_path / "events.jsonl"
-        events = EventLog(events_path)
-        sup = Supervisor(SupervisorPolicy(pool_break_limit=1,
-                                          chunk_windows=3,
-                                          **_FAST_BACKOFF))
-        ctx = ExperimentContext(_TINY, jobs=8, supervisor=sup,
-                                events=events)
-        _, characterization = ctx.campaign("mcf")
-        events.close()
-        assert characterization.characterization == s_char.characterization
-        assert sup.status == "complete"
-        assert not sup.quarantined
-        assert sup._force_serial
-        ladder = [(e["jobs_from"], e["jobs_to"])
-                  for e in read_events(events_path)
-                  if e.get("type") == "degradation"]
-        assert ladder == [(8, 4), (4, 2), (2, 1), (1, 0)]
-        assert sum(r.downshifts for r in sup.reports) == 4
-
-    def test_submit_failure_downshifts_without_charging_chunks(
-            self, serial_reference, monkeypatch, tmp_path):
-        """A pool that builds but whose ``submit`` raises walks the
-        same ladder through the rebuild path; the failed submissions
-        never charge chunk attempts, so nothing is quarantined."""
-        from repro.obs import EventLog, read_events
-
-        class _BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise OSError("injected submit failure")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        s_char, _ = serial_reference
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: _BrokenPool())
-        events_path = tmp_path / "events.jsonl"
-        events = EventLog(events_path)
-        sup = Supervisor(SupervisorPolicy(pool_break_limit=1,
-                                          chunk_windows=3, max_retries=1,
-                                          **_FAST_BACKOFF))
-        ctx = ExperimentContext(_TINY, jobs=4, supervisor=sup,
-                                events=events)
-        _, characterization = ctx.campaign("mcf")
-        events.close()
-        assert characterization.characterization == s_char.characterization
-        assert sup.status == "complete"
-        assert not sup.quarantined
-        assert sup._force_serial
-        ladder = [(e["jobs_from"], e["jobs_to"])
-                  for e in read_events(events_path)
-                  if e.get("type") == "degradation"]
-        assert ladder == [(4, 2), (2, 1), (1, 0)]
-        assert sum(r.pool_rebuilds for r in sup.reports) >= 3
-
-    def test_degraded_path_never_caches_partial_results(
-            self, serial_reference, monkeypatch, tmp_path):
-        """The in-process fallback honours the no-partial-caching rule:
-        a phase that quarantined a window on the degraded path must not
-        publish its reduced result to the artifact cache."""
-        from repro.faults.classifier import TandemClassifier
+        """A phase that quarantined a window must not publish its
+        reduced result to the artifact cache."""
         from repro.harness import ArtifactCache
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: None)
         real_run = TandemClassifier.run
 
         def poisoned(self, records, **kwargs):
@@ -463,8 +315,7 @@ class TestDownshiftLadder:
 
         monkeypatch.setattr(TandemClassifier, "run", poisoned)
         cache = ArtifactCache(tmp_path / "cache")
-        sup = Supervisor(SupervisorPolicy(pool_break_limit=1,
-                                          max_retries=1, chunk_windows=3,
+        sup = Supervisor(SupervisorPolicy(max_retries=1, chunk_windows=3,
                                           **_FAST_BACKOFF))
         ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
                                 cache=cache)
@@ -474,14 +325,12 @@ class TestDownshiftLadder:
         assert characterization.quarantined == sup.quarantined
         assert not list((tmp_path / "cache").rglob("characterize/*.pkl"))
 
-
     def test_prefetch_never_caches_partial_results(self, monkeypatch,
                                                    tmp_path):
         """Phases that prefetch workers classify under their own
         supervisors obey the same rule: a worker's quarantine keeps the
         phase (and any coverage over it) out of the artifact cache, and
         the parent's supervisor reports it."""
-        from repro.faults.classifier import TandemClassifier
         from repro.harness import ArtifactCache
         from repro.harness import parallel
         # a fresh worker-context memo, so an in-process fallback cannot
@@ -513,201 +362,6 @@ class TestDownshiftLadder:
 
 
 # ----------------------------------------------------------------------
-# the checkpoint golden pass overlaps chunk dispatch
-# ----------------------------------------------------------------------
-def _slow_pass(monkeypatch, delay, on_boundary=None):
-    """Stretch the pool's checkpoint golden pass by *delay* seconds per
-    boundary after the first, so dispatch during the pass is observable
-    regardless of host speed. Returns the live pass state: ``left``
-    boundaries not yet handed out, ``closed`` once the pass is released.
-    """
-    from repro.harness import parallel
-    real = parallel.iter_chunk_checkpoints
-    state = {"left": 0, "closed": False}
-
-    def slow(cfg, hw, benchmark, scheme, records, bounds, events=None,
-             ctx=None, stats=None):
-        state["left"] = len(bounds)
-        state["closed"] = False
-        try:
-            for index, checkpoint in enumerate(real(
-                    cfg, hw, benchmark, scheme, records, bounds,
-                    events=events, ctx=ctx, stats=stats)):
-                if index:
-                    time.sleep(delay)
-                state["left"] -= 1
-                if on_boundary is not None:
-                    on_boundary(index)
-                yield checkpoint
-        finally:
-            state["closed"] = True
-
-    monkeypatch.setattr(parallel, "iter_chunk_checkpoints", slow)
-    return state
-
-
-def _phase(seconds=0.0, stepped=0):
-    return _Phase(cfg=_TINY, hw=None, benchmark="mcf", scheme=None,
-                  label="baseline", phase="characterize", records=[],
-                  digest="d", plan_digest="p",
-                  golden=CheckpointStats(golden_pass_seconds=seconds,
-                                         windows_stepped=stepped))
-
-
-class TestWindowEstimate:
-    def test_no_estimate_before_the_pass_steps(self):
-        """Capturing window 0 costs core construction but steps no
-        window: that must not read as a per-window rate."""
-        assert _phase(seconds=0.4).window_estimate == 0.0
-
-    def test_estimate_divides_by_stepped_windows(self):
-        # a 3-chunk phase of 24 windows steps 16 before its last boundary
-        assert (_phase(seconds=1.6, stepped=16).window_estimate
-                == pytest.approx(0.1))
-
-    def test_deadline_floor_without_an_estimate(self):
-        sup = Supervisor(SupervisorPolicy(min_soft_timeout=30.0,
-                                          soft_timeout_factor=32.0))
-        chunk = _Chunk(0, 8, "k", None, max_attempts=1, attempts=1)
-        for phase, allowed in ((_phase(), 30.0),
-                               (_phase(seconds=1.6, stepped=16), 30.0),
-                               (_phase(seconds=16.0, stepped=16), 256.0)):
-            before = time.monotonic()
-            deadline = sup._deadline(phase, chunk)
-            assert before + allowed <= deadline \
-                <= time.monotonic() + allowed
-
-    def test_pool_phase_estimates_from_stepped_windows(
-            self, serial_reference, monkeypatch):
-        """The watchdog's estimate counts the windows the pass stepped
-        (up to the last boundary), updated boundary by boundary; chunk 0
-        goes out before any estimate exists."""
-        s_char, _ = serial_reference
-        seen = []
-        real_deadline = Supervisor._deadline
-
-        def spy(self, phase_ctx, chunk):
-            seen.append((chunk.lo, phase_ctx.golden.windows_stepped,
-                         phase_ctx.window_estimate))
-            return real_deadline(self, phase_ctx, chunk)
-
-        monkeypatch.setattr(Supervisor, "_deadline", spy)
-        sup = Supervisor(SupervisorPolicy(chunk_windows=2))
-        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup)
-        _, characterization = ctx.campaign("mcf")
-        assert characterization.characterization == s_char.characterization
-        assert seen[0] == (0, 0, 0.0)
-        # bounds (0,2) (2,4) (4,6) (6,8) (8,10): the pass stepped 8
-        assert sorted(lo for lo, _, _ in seen) == [0, 2, 4, 6, 8]
-        assert seen[-1][1] == 8
-        stepped = [windows for _, windows, _ in seen]
-        assert stepped == sorted(stepped)
-        assert all(estimate > 0 for _, windows, estimate in seen
-                   if windows)
-
-
-class TestOverlappedPass:
-    def test_first_chunk_runs_before_the_pass_ends(
-            self, serial_reference, monkeypatch, tmp_path):
-        """At jobs=2 the first chunk's worker starts before the last
-        boundary is captured, and both phases still equal the unchunked
-        Campaign reference."""
-        from repro.obs import EventLog, read_events
-        s_char, s_cov = serial_reference
-        _slow_pass(monkeypatch, 0.5)
-        events_path = tmp_path / "events.jsonl"
-        events = EventLog(events_path)
-        sup = Supervisor(SupervisorPolicy(chunk_windows=3))
-        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
-                                events=events)
-        _, characterization = ctx.campaign("mcf")
-        coverage = ctx.coverage("mcf", "faulthound")
-        events.close()
-        assert characterization.characterization == s_char.characterization
-        assert coverage.coverage_results == s_cov.coverage_results
-        log = read_events(events_path)
-        captures = [e["ts"] for e in log if e.get("type") == "checkpoint"
-                    and e.get("action") == "capture"
-                    and e.get("scheme") == "baseline"]
-        first = [e["ts"] for e in log if e.get("type") == "span_start"
-                 and e.get("name") == "worker:window_chunk"
-                 and e["attrs"].get("scheme") == "baseline"
-                 and e["attrs"].get("lo") == 0]
-        assert len(captures) >= 3
-        assert len(first) == 1
-        assert first[0] < captures[-1]
-
-    def test_pass_keeps_a_cpu_for_the_parent(self, serial_reference,
-                                             monkeypatch):
-        """While the pass runs the parent is the jobs-th CPU: never more
-        than jobs - 1 chunks in flight until it has ended."""
-        from concurrent.futures import ProcessPoolExecutor
-        from repro.harness import parallel
-        s_char, _ = serial_reference
-        state = _slow_pass(monkeypatch, 0.2)
-        submits = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.futures = []
-
-            def submit(self, fn, *args, **kwargs):
-                in_flight = sum(not f.done() for f in self.futures)
-                submits.append((state["left"], in_flight))
-                future = super().submit(fn, *args, **kwargs)
-                self.futures.append(future)
-                return future
-
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: CountingPool(
-                max_workers=workers, mp_context=parallel._mp_context()))
-        jobs = 3
-        sup = Supervisor(SupervisorPolicy(chunk_windows=2))
-        ctx = ExperimentContext(_TINY, jobs=jobs, supervisor=sup)
-        _, characterization = ctx.campaign("mcf")
-        assert characterization.characterization == s_char.characterization
-        during = [in_flight for left, in_flight in submits if left > 0]
-        assert during, "no chunk was dispatched during the pass"
-        assert all(in_flight + 1 <= jobs - 1 for in_flight in during)
-        assert len(submits) == 5 and state["left"] == 0
-
-    def test_drain_during_the_pass_aborts_then_resumes(
-            self, serial_reference, monkeypatch, tmp_path):
-        """A drain requested mid-pass stops the pass, lets the chunk in
-        flight land, aborts with the resume hint — and the resume (a gap
-        starting past window 0) converges to the reference."""
-        s_char, _ = serial_reference
-        run_dir = tmp_path / "run"
-        policy = SupervisorPolicy(chunk_windows=2)
-        first = Supervisor(policy, run_dir=run_dir)
-        state = _slow_pass(
-            monkeypatch, 0.0,
-            on_boundary=lambda index: index == 1 and first.request_drain())
-        ctx = ExperimentContext(_TINY, jobs=2, supervisor=first)
-        with pytest.raises(CampaignAborted) as excinfo:
-            ctx.campaign("mcf")
-        first.close()
-        assert "repro resume" in str(excinfo.value)
-        assert first.status == "aborted"
-        assert state["left"] > 0 and state["closed"]
-        records = CampaignJournal.read(run_dir)
-        assert records[-1]["type"] == "drain"
-        assert "phase_done" not in [r["type"] for r in records]
-        done = [(r["lo"], r["hi"]) for r in records
-                if r["type"] == "chunk_done"]
-        assert (0, 2) in done and len(done) < 5
-
-        second = Supervisor(policy, run_dir=run_dir)
-        ctx2 = ExperimentContext(_TINY, jobs=2, supervisor=second)
-        _, characterization = ctx2.campaign("mcf")
-        second.close()
-        assert characterization.characterization == s_char.characterization
-        assert second.reports[0].chunks_resumed == len(done)
-
-
-# ----------------------------------------------------------------------
 # drain / abort
 # ----------------------------------------------------------------------
 class TestDrain:
@@ -723,6 +377,45 @@ class TestDrain:
         assert sup.status == "aborted"
         assert sup.exit_code == EXIT_ABORTED
         assert "repro resume" in str(excinfo.value)
+
+    def test_drain_mid_phase_aborts_then_resumes(
+            self, serial_reference, monkeypatch, tmp_path):
+        """A drain requested while a phase runs lets the chunk in
+        progress land, aborts with the resume hint — and the resume (a
+        gap starting past window 0) converges to the reference."""
+        s_char, _ = serial_reference
+        run_dir = tmp_path / "run"
+        policy = SupervisorPolicy(chunk_windows=2)
+        first = Supervisor(policy, run_dir=run_dir)
+        real_run = TandemClassifier.run
+
+        def drain_after_first(self, records, **kwargs):
+            windows = real_run(self, records, **kwargs)
+            first.request_drain()
+            return windows
+
+        monkeypatch.setattr(TandemClassifier, "run", drain_after_first)
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=first)
+        with pytest.raises(CampaignAborted) as excinfo:
+            ctx.campaign("mcf")
+        first.close()
+        monkeypatch.setattr(TandemClassifier, "run", real_run)
+        assert "repro resume" in str(excinfo.value)
+        assert first.status == "aborted"
+        records = CampaignJournal.read(run_dir)
+        assert records[-1]["type"] == "drain"
+        assert "phase_done" not in [r["type"] for r in records]
+        done = [(r["lo"], r["hi"]) for r in records
+                if r["type"] == "chunk_done"]
+        assert done == [(0, 2)]
+
+        second = Supervisor(policy, run_dir=run_dir)
+        ctx2 = ExperimentContext(_TINY, jobs=1, supervisor=second)
+        _, characterization = ctx2.campaign("mcf")
+        second.close()
+        assert characterization.characterization == s_char.characterization
+        assert second.reports[0].chunks_resumed == len(done)
+        _assert_status_matches(run_dir, second.reports)
 
     def test_graceful_handler_requests_drain(self):
         before = signal.getsignal(signal.SIGTERM)
@@ -907,10 +600,10 @@ class TestStatusFold:
 # ----------------------------------------------------------------------
 # SIGKILL + resume, end to end via the CLI
 # ----------------------------------------------------------------------
-def _campaign_argv(run_dir, jobs):
+def _campaign_argv(run_dir):
     return [sys.executable, "-m", "repro.cli", "campaign", "mcf",
             "--scheme", "faulthound", "--faults", "10",
-            "--jobs", str(jobs), "--no-cache", "--run-dir", str(run_dir)]
+            "--no-cache", "--run-dir", str(run_dir)]
 
 
 def _cli_env():
@@ -922,16 +615,15 @@ def _cli_env():
 
 @pytest.mark.slow
 @pytest.mark.timeout(300)
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_sigkill_then_resume_is_bit_for_bit(tmp_path, jobs):
+def test_sigkill_then_resume_is_bit_for_bit(tmp_path):
     env = _cli_env()
     ref_dir = tmp_path / "ref"
-    reference = subprocess.run(_campaign_argv(ref_dir, jobs), env=env,
+    reference = subprocess.run(_campaign_argv(ref_dir), env=env,
                                capture_output=True, text=True, timeout=240)
     assert reference.returncode == 0, reference.stderr
 
     int_dir = tmp_path / "interrupted"
-    victim = subprocess.Popen(_campaign_argv(int_dir, jobs), env=env,
+    victim = subprocess.Popen(_campaign_argv(int_dir), env=env,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL,
                               start_new_session=True)
@@ -969,19 +661,19 @@ def test_sigkill_then_resume_cache_warm(tmp_path):
     env = _cli_env()
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     # drop --no-cache everywhere so the artifact cache actually warms up
-    argv = [a for a in _campaign_argv(tmp_path / "warm", 2)
+    argv = [a for a in _campaign_argv(tmp_path / "warm")
             if a != "--no-cache"]
     warm = subprocess.run(argv, env=env, capture_output=True, text=True,
                           timeout=240)
     assert warm.returncode == 0, warm.stderr
-    argv = [a for a in _campaign_argv(tmp_path / "ref", 2)
+    argv = [a for a in _campaign_argv(tmp_path / "ref")
             if a != "--no-cache"]
     reference = subprocess.run(argv, env=env, capture_output=True,
                                text=True, timeout=240)
     assert reference.returncode == 0, reference.stderr
 
     int_dir = tmp_path / "interrupted"
-    argv = [a for a in _campaign_argv(int_dir, 2) if a != "--no-cache"]
+    argv = [a for a in _campaign_argv(int_dir) if a != "--no-cache"]
     victim = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL,
                               start_new_session=True)
@@ -1004,71 +696,3 @@ def test_sigkill_then_resume_cache_warm(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout == reference.stdout
 
-
-# the CLI with its checkpoint golden pass stretched (argv[1] seconds per
-# boundary after the first); writes argv[2] once the pass has handed out
-# its last boundary, so a test can tell whether a kill landed mid-pass
-_SLOW_PASS_CLI = """
-import pathlib, sys, time
-from repro.harness import parallel
-real = parallel.iter_chunk_checkpoints
-def slow(cfg, hw, benchmark, scheme, records, bounds, events=None,
-         ctx=None, stats=None):
-    for index, checkpoint in enumerate(real(
-            cfg, hw, benchmark, scheme, records, bounds,
-            events=events, ctx=ctx, stats=stats)):
-        if index:
-            time.sleep(float(sys.argv[1]))
-        if index == len(bounds) - 1:
-            pathlib.Path(sys.argv[2]).touch()
-        yield checkpoint
-parallel.iter_chunk_checkpoints = slow
-from repro.cli import main
-sys.exit(main(sys.argv[3:]))
-"""
-
-
-@pytest.mark.slow
-@pytest.mark.timeout(300)
-def test_sigkill_during_the_pass_then_resume(tmp_path):
-    """A SIGKILL that lands while the golden pass is still capturing
-    boundaries (a chunk already journalled) resumes to the uninterrupted
-    run's stdout, bit for bit."""
-    env = _cli_env()
-    reference = subprocess.run(_campaign_argv(tmp_path / "ref", 1),
-                               env=env, capture_output=True, text=True,
-                               timeout=240)
-    assert reference.returncode == 0, reference.stderr
-
-    int_dir = tmp_path / "interrupted"
-    marker = tmp_path / "pass-ended"
-    argv = _campaign_argv(int_dir, 4)[3:]       # drop `python -m repro.cli`
-    victim = subprocess.Popen(
-        [sys.executable, "-c", _SLOW_PASS_CLI, "3.0", str(marker), *argv],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        start_new_session=True)
-    journal = int_dir / "journal.jsonl"
-    deadline = time.monotonic() + 120
-    try:
-        while time.monotonic() < deadline:
-            if victim.poll() is not None:
-                break
-            if journal.exists() and "chunk_done" in journal.read_text():
-                break
-            time.sleep(0.05)
-        assert victim.poll() is None, "campaign finished before the kill"
-    finally:
-        try:
-            os.killpg(victim.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        victim.wait(timeout=30)
-    assert not marker.exists(), "the kill landed after the pass"
-
-    resumed = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "resume", str(int_dir)],
-        env=env, capture_output=True, text=True, timeout=240)
-    assert resumed.returncode == 0, resumed.stderr
-    assert resumed.stdout == reference.stdout
-    records = list(CampaignJournal.read(int_dir))
-    assert any(r["type"] == "resume" for r in records)

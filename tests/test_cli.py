@@ -120,12 +120,15 @@ def test_campaign_rejects_retired_lane_flag(capsys):
     (["figure", "fig7", "--jobs", "0"], "must be >= 1"),
     (["figure", "fig7", "--jobs", "-3"], "must be >= 1"),
     (["campaign", "mcf", "--faults", "0"], "must be >= 1"),
-    (["campaign", "mcf", "--faults", "-3"], "must be >= 1"),
     (["campaign", "mcf", "--chunk-windows", "0"], "must be >= 1"),
     (["campaign", "mcf", "--chunk-windows", "-3"], "must be >= 1"),
+    (["campaign", "mcf", "--faults", "-0"], "must be >= 1"),
     (["campaign", "mcf", "--max-retries", "-1"], "must be >= 0"),
     (["figure", "fig7", "--jobs", "two"], "is not an integer"),
     (["campaign", "mcf", "--faults", "many"], "is not an integer"),
+    (["campaign", "mcf", "--chunk-windows", "2.5"], "is not an integer"),
+    (["campaign", "mcf", "--max-retries", "lots"], "is not an integer"),
+    (["campaign", "mcf", "--faults", "-3"], "must be >= 1"),
 ])
 def test_parser_rejects_bad_execution_values(capsys, argv, message):
     """Regression: these used to be clamped silently (exit 0) although

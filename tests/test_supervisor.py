@@ -135,8 +135,22 @@ class TestSelection:
 # equivalence on a healthy machine
 # ----------------------------------------------------------------------
 class TestSupervisedEquivalence:
-    def test_supervised_serial_matches_serial(self, serial_reference,
-                                              tmp_path):
+    def test_supervised_serial_matches_serial(self, serial_reference):
+        s_char, s_cov = serial_reference
+        sup = Supervisor(SupervisorPolicy(chunk_windows=3))
+        ctx = ExperimentContext(_TINY, jobs=1, supervisor=sup)
+        _, characterization = ctx.campaign("mcf")
+        coverage = ctx.coverage("mcf", "faulthound")
+        assert characterization.characterization == s_char.characterization
+        assert coverage.coverage_results == s_cov.coverage_results
+        assert sup.status == "complete" and sup.exit_code == 0
+
+    def test_supervised_pool_matches_serial(self, serial_reference,
+                                            tmp_path):
+        """A journaled campaign asked for ``jobs=3`` matches the serial
+        reference. Campaigns no longer fan chunks out to a pool: the
+        phases run in-process whatever ``jobs`` says, and the journal
+        and status file record them as before."""
         s_char, s_cov = serial_reference
         sup = Supervisor(SupervisorPolicy(chunk_windows=3),
                          run_dir=tmp_path / "run")

@@ -89,10 +89,10 @@ def _null_metrics_call(name, payload, saved_at):
 
 def _supervisor_overhead(name, payload, saved_at):
     plain, sup = payload["plain_serial_s"], payload["supervised_serial_s"]
-    pct = (sup - plain) / plain * 100.0
     return [_row(name, "serial campaign under the supervisor",
                  f"{plain} s (plain)", f"{sup} s (supervised)",
-                 f"{pct:+.1f}% overhead", saved_at)]
+                 f"{payload['serial_overhead_pct']:+.1f}% overhead",
+                 saved_at)]
 
 
 EXTRACTORS: Dict[str, Callable] = {

@@ -11,17 +11,30 @@ from .tcam import LookupResult
 
 class CheckKind(enum.Enum):
     """What value a screening check inspects (Section 2.1: PBFS and
-    FaultHound both check load addresses, store addresses, store values)."""
+    FaultHound both check load addresses, store addresses, store values).
+
+    The facts a check reads are plain member attributes, not properties
+    or dict entries keyed by the member: a class-attribute walk or the
+    Python-level ``Enum.__hash__`` would run on every check.
+    """
 
     LOAD_ADDR = "load_addr"
     STORE_ADDR = "store_addr"
     STORE_VALUE = "store_value"
 
-    @property
-    def uses_address_table(self) -> bool:
-        """Addresses and values get separate TCAMs (Section 3.1: mixing
-        them weakens the filters)."""
-        return self in (CheckKind.LOAD_ADDR, CheckKind.STORE_ADDR)
+    def __init__(self, value: str) -> None:
+        #: Addresses and values get separate TCAMs (Section 3.1: mixing
+        #: them weakens the filters).
+        self.uses_address_table = value != "store_value"
+
+
+#: Each kind's slot in per-kind tables (its prebuilt results, PBFS's
+#: filter tables), in declaration order.
+for _index, _kind in enumerate(CheckKind):
+    _kind.index = _index
+
+
+_SEVERITY_ORDER = ("none", "suppressed", "replay", "singleton", "squash")
 
 
 class CheckAction(enum.Enum):
@@ -38,6 +51,12 @@ class CheckAction(enum.Enum):
     SQUASH = "squash"
     #: Singleton re-execute of a load/store at commit (Section 3.5).
     SINGLETON = "singleton"
+
+    def __init__(self, value: str) -> None:
+        #: Rank by severity: of a store's two results (address and value)
+        #: the pipeline obeys the more severe. Unique per action, so it is
+        #: also the action's slot in a unit's tally.
+        self.severity = _SEVERITY_ORDER.index(value)
 
     @property
     def is_trigger(self) -> bool:
@@ -58,18 +77,21 @@ class CheckResult:
     def of(action: CheckAction, kind: CheckKind,
            triggered: bool) -> "CheckResult":
         """The shared instance for (*action*, *kind*, *triggered*): there
-        are only 36, so a check returns one of them and allocates
-        nothing."""
-        return _INTERNED[action, kind, triggered]
+        are only 30, so a check returns one of them and allocates
+        nothing (and hashes no enum member to find it)."""
+        return _INTERNED[kind.index][action.severity][triggered]
 
     @staticmethod
     def none(kind: CheckKind) -> "CheckResult":
-        return _INTERNED[CheckAction.NONE, kind, False]
+        return _INTERNED[kind.index][0][False]
 
 
-_INTERNED = {(action, kind, triggered): CheckResult(action, kind, triggered)
-             for action in CheckAction for kind in CheckKind
-             for triggered in (False, True)}
+#: ``[kind.index][action.severity][triggered]`` → the shared result.
+_INTERNED = tuple(
+    tuple(tuple(CheckResult(action, kind, triggered)
+                for triggered in (False, True))
+          for action in sorted(CheckAction, key=lambda a: a.severity))
+    for kind in CheckKind)
 
 
 __all__ = ["CheckKind", "CheckAction", "CheckResult"]

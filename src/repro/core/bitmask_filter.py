@@ -12,14 +12,21 @@ from .filter_bank import make_bank
 
 
 class BitmaskFilter:
-    """One filter entry: a 64-machine bank and the previous value."""
+    """One filter entry: a 64-machine bank and the previous value.
 
-    __slots__ = ("bank", "previous", "valid")
+    ``unchanging`` caches the complement of the bank's changing mask as a
+    plain int, refreshed by every method that moves the bank (install,
+    update, flash clear), so a TCAM scan reads two slots per entry and
+    calls nothing.
+    """
+
+    __slots__ = ("bank", "previous", "valid", "unchanging")
 
     def __init__(self, bank_kind: str = "biased", changing_states: int = 2):
         self.bank = make_bank(bank_kind, changing_states)
         self.previous = 0
         self.valid = False
+        self.unchanging = ~self.bank.changing_mask & VALUE_MASK
 
     @property
     def changing_mask(self) -> int:
@@ -28,7 +35,7 @@ class BitmaskFilter:
     def mismatch_mask(self, value: int) -> int:
         """Bits where *value* differs from the previous value in an
         *unchanging* position — the trigger condition (Figure 3)."""
-        return ~self.changing_mask & (value ^ self.previous) & VALUE_MASK
+        return self.unchanging & (value ^ self.previous)
 
     def mismatch_count(self, value: int) -> int:
         return self.mismatch_mask(value).bit_count()
@@ -41,6 +48,7 @@ class BitmaskFilter:
         """(Re)initialise as a fresh filter: all positions "unchanging"
         with *value* as the previous value (Section 3.1 replacement)."""
         self.bank.reset()
+        self.unchanging = ~self.bank.changing_mask & VALUE_MASK
         self.previous = value & VALUE_MASK
         self.valid = True
 
@@ -54,7 +62,9 @@ class BitmaskFilter:
         the TCAM reported as the trigger), matching positions see no-change.
         """
         value &= VALUE_MASK
-        alarm = self.bank.observe(value ^ self.previous)
+        bank = self.bank
+        alarm = bank.observe(value ^ self.previous)
+        self.unchanging = ~bank.changing_mask & VALUE_MASK
         self.previous = value
         return alarm
 
@@ -62,6 +72,7 @@ class BitmaskFilter:
         """PBFS periodic clear: all counters back to "unchanging". The
         previous value is retained (only the counters are sticky)."""
         self.bank.flash_clear()
+        self.unchanging = ~self.bank.changing_mask & VALUE_MASK
 
     def clone(self) -> "BitmaskFilter":
         """Independent copy for core forking (checkpoint protocol)."""
@@ -69,6 +80,7 @@ class BitmaskFilter:
         twin.bank = self.bank.clone()
         twin.previous = self.previous
         twin.valid = self.valid
+        twin.unchanging = self.unchanging
         return twin
 
     def ternary_repr(self) -> str:

@@ -25,6 +25,14 @@ from .second_level import SecondLevelFilter
 from .squash_machine import SquashMachineBank
 from .tcam import TCAM
 
+#: Members a check returns, as module globals (no class-attribute walk
+#: per check).
+_NONE = CheckAction.NONE
+_SUPPRESSED = CheckAction.SUPPRESSED
+_REPLAY = CheckAction.REPLAY
+_SQUASH = CheckAction.SQUASH
+_SINGLETON = CheckAction.SINGLETON
+
 
 @dataclass
 class _Domain:
@@ -130,19 +138,19 @@ class FaultHoundUnit(ScreeningUnit):
             squash = domain.squash.observe_trigger(closest)
         if not allowed:
             self.second_level_suppressions += 1
-            return CheckAction.SUPPRESSED
+            return _SUPPRESSED
         if at_commit:
             self.singleton_triggers += 1
-            return CheckAction.SINGLETON
+            return _SINGLETON
         if squash:
             self.squash_triggers += 1
-            return CheckAction.SQUASH
+            return _SQUASH
         if self.config.full_rollback_on_trigger:
             # Fig 12 (middle) ablation: replay replaced by a full rollback.
             self.squash_triggers += 1
-            return CheckAction.SQUASH
+            return _SQUASH
         self.replay_triggers += 1
-        return CheckAction.REPLAY
+        return _REPLAY
 
     def check_at_complete(self, kind: CheckKind, value: int,
                           pc: int) -> CheckResult:
@@ -151,8 +159,7 @@ class FaultHoundUnit(ScreeningUnit):
         if self.replaying or not triggered:
             # During replay the filters keep learning but triggers are
             # ignored (Section 3.3).
-            return self._record(CheckResult.of(CheckAction.NONE, kind,
-                                               triggered))
+            return self._record(CheckResult.of(_NONE, kind, triggered))
         action = self._arbitrate(domain, mismatch, closest, at_commit=False)
         return self._record(CheckResult.of(action, kind, True))
 
@@ -163,8 +170,7 @@ class FaultHoundUnit(ScreeningUnit):
         domain = self._domain(kind)
         triggered, mismatch, _closest = self._first_level(domain, value, pc)
         if self.replaying or not triggered:
-            return self._record(CheckResult.of(CheckAction.NONE, kind,
-                                               triggered))
+            return self._record(CheckResult.of(_NONE, kind, triggered))
         action = self._arbitrate(domain, mismatch, None, at_commit=True)
         return self._record(CheckResult.of(action, kind, True))
 

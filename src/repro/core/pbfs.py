@@ -11,12 +11,17 @@ isolates the contribution of FaultHound's other mechanisms.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from ..config import PBFSConfig, VALUE_MASK
 from .actions import CheckAction, CheckKind, CheckResult
 from .bitmask_filter import BitmaskFilter
 from .screening import ScreeningUnit
+
+#: Members a check returns, as module globals (no class-attribute walk
+#: per check).
+_NONE = CheckAction.NONE
+_SQUASH = CheckAction.SQUASH
 
 
 class PCIndexedFilterTable:
@@ -105,11 +110,11 @@ class PBFSUnit(ScreeningUnit):
         self.config = config or PBFSConfig()
         bank_kind = self.config.counter
         self.name = "pbfs" if bank_kind == "sticky" else f"pbfs-{bank_kind}"
-        self.tables: Dict[CheckKind, PCIndexedFilterTable] = {
-            kind: PCIndexedFilterTable(self.config.table_entries, bank_kind,
-                                       self.config.changing_states)
-            for kind in CheckKind
-        }
+        #: One filter table per check kind, indexed by ``kind.index``.
+        self.tables: List[PCIndexedFilterTable] = [
+            PCIndexedFilterTable(self.config.table_entries, bank_kind,
+                                 self.config.changing_states)
+            for _kind in CheckKind]
         self._checks_since_clear = 0
 
     def clone(self) -> "PBFSUnit":
@@ -117,8 +122,7 @@ class PBFSUnit(ScreeningUnit):
         self._clone_base_into(twin)
         twin.config = self.config         # frozen dataclass, shared
         twin.name = self.name
-        twin.tables = {kind: table.clone()
-                       for kind, table in self.tables.items()}
+        twin.tables = [table.clone() for table in self.tables]
         twin._checks_since_clear = self._checks_since_clear
         return twin
 
@@ -128,21 +132,19 @@ class PBFSUnit(ScreeningUnit):
         self._checks_since_clear += 1
         if self._checks_since_clear >= self.config.clear_interval:
             self._checks_since_clear = 0
-            for table in self.tables.values():
+            for table in self.tables:
                 table.flash_clear()
 
     def check_at_complete(self, kind: CheckKind, value: int,
                           pc: int) -> CheckResult:
-        table = self.tables[kind]
+        table = self.tables[kind.index]
         triggered, _mismatch = table.check(pc, value)
         self._maybe_flash_clear()
         if triggered and not self.replaying:
             # PBFS squashes the pipeline immediately upon detection, hoping
             # the originating instruction has not yet committed.
-            return self._record(CheckResult.of(CheckAction.SQUASH, kind,
-                                               True))
-        return self._record(CheckResult.of(CheckAction.NONE, kind,
-                                           triggered))
+            return self._record(CheckResult.of(_SQUASH, kind, True))
+        return self._record(CheckResult.of(_NONE, kind, triggered))
 
     def check_at_commit(self, kind: CheckKind, value: int,
                         pc: int) -> CheckResult:
@@ -151,7 +153,7 @@ class PBFSUnit(ScreeningUnit):
 
     @property
     def total_table_lookups(self) -> int:
-        return sum(table.lookups for table in self.tables.values())
+        return sum(table.lookups for table in self.tables)
 
 
 __all__ = ["PCIndexedFilterTable", "PBFSUnit"]

@@ -8,9 +8,44 @@ PBFS and the do-nothing baseline all implement this interface.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import MutableMapping
+from typing import List
 
 from .actions import CheckAction, CheckKind, CheckResult
+
+
+class ActionCounts(MutableMapping):
+    """Live ``CheckAction`` → check count view of a unit's tally.
+
+    The tally is a list of ints indexed by ``action.severity``, so a
+    check counts itself without hashing an enum member; this view gives
+    readers the ``Counter`` interface (an unseen action counts 0 and is
+    not iterated) and writes through to the tally.
+    """
+
+    __slots__ = ("_tally",)
+
+    def __init__(self, tally: List[int]) -> None:
+        self._tally = tally
+
+    def __getitem__(self, action: CheckAction) -> int:
+        return self._tally[action.severity]
+
+    def __setitem__(self, action: CheckAction, count: int) -> None:
+        self._tally[action.severity] = count
+
+    def __delitem__(self, action: CheckAction) -> None:
+        self._tally[action.severity] = 0
+
+    def __iter__(self):
+        tally = self._tally
+        return (action for action in CheckAction if tally[action.severity])
+
+    def __len__(self) -> int:
+        return sum(1 for count in self._tally if count)
+
+    def __repr__(self) -> str:
+        return f"ActionCounts({dict(self)!r})"
 
 
 class ScreeningUnit:
@@ -25,12 +60,18 @@ class ScreeningUnit:
 
     def __init__(self) -> None:
         self.checks = 0
-        self.action_counts: Counter = Counter()
+        #: Checks per action, indexed by ``action.severity``.
+        self._tally = [0] * len(CheckAction)
         #: True while the pipeline is re-executing instructions due to a
         #: screening-initiated replay/rollback: filters keep learning but
         #: triggers must not fire again (Section 3.3: "any triggers during
         #: replay are ignored").
         self.replaying = False
+
+    @property
+    def action_counts(self) -> ActionCounts:
+        """Checks per action, as a live mapping (see :class:`ActionCounts`)."""
+        return ActionCounts(self._tally)
 
     # -- interface -------------------------------------------------------
     def check_at_complete(self, kind: CheckKind, value: int,
@@ -66,22 +107,22 @@ class ScreeningUnit:
     def _clone_base_into(self, twin: "ScreeningUnit") -> None:
         """Transfer the shared bookkeeping onto a freshly built *twin*."""
         twin.checks = self.checks
-        twin.action_counts = Counter(self.action_counts)
+        twin._tally = list(self._tally)
         twin.replaying = self.replaying
 
     # -- shared helpers --------------------------------------------------
     def _record(self, result: CheckResult) -> CheckResult:
         self.checks += 1
-        self.action_counts[result.action] += 1
+        self._tally[result.action.severity] += 1
         return result
 
     def count(self, action: CheckAction) -> int:
-        return self.action_counts[action]
+        return self._tally[action.severity]
 
     @property
     def trigger_count(self) -> int:
-        return sum(count for action, count in self.action_counts.items()
-                   if action is not CheckAction.NONE)
+        """Checks with any action but NONE (severity 0)."""
+        return sum(self._tally) - self._tally[0]
 
 
 class NullScreeningUnit(ScreeningUnit):
@@ -103,4 +144,4 @@ class NullScreeningUnit(ScreeningUnit):
         return twin
 
 
-__all__ = ["ScreeningUnit", "NullScreeningUnit"]
+__all__ = ["ActionCounts", "ScreeningUnit", "NullScreeningUnit"]

@@ -51,17 +51,25 @@ class TCAM:
         self.entries: List[BitmaskFilter] = [
             BitmaskFilter(bank_kind, changing_states) for _ in range(entries)]
         self.loosen_threshold = loosen_threshold
-        # LRU order of entry indices; front == most recently used.
-        self._lru: List[int] = list(range(entries))
+        #: Per-entry use stamp: the lookup count when the entry was last
+        #: touched (each lookup touches exactly one entry, so stamps are
+        #: unique and the least recently used entry holds the smallest).
+        #: The negative starting stamps rank entry 0 most recent and the
+        #: last entry least, the order the first installs fill from.
+        self._stamps: List[int] = [-1 - i for i in range(entries)]
         self.lookups = 0
         self.triggers = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _touch(self, index: int) -> None:
-        self._lru.remove(index)
-        self._lru.insert(0, index)
+    def _victim(self) -> int:
+        """The least recently used entry, which a fresh filter replaces.
+        Entries never turn invalid again, and a never-used entry keeps its
+        negative starting stamp, so it is always older than any used one:
+        the never-used entries go first, last index first."""
+        stamps = self._stamps
+        return min(range(len(stamps)), key=stamps.__getitem__)
 
     def lookup(self, value: int) -> LookupResult:
         """Search, then update/loosen/replace as a side effect (the paper
@@ -69,45 +77,49 @@ class TCAM:
         value &= VALUE_MASK
         self.lookups += 1
 
+        # one flat scan over the entries' cached masks: nearest match
+        # first, ties to the lowest index, stopping at a full match
         closest = -1
         best_mask = 0
         best_count = 65
-        for index, entry in enumerate(self.entries):
-            if not entry.valid:
-                continue
-            mask = entry.mismatch_mask(value)
-            count = mask.bit_count()
-            if count < best_count:
-                closest, best_mask, best_count = index, mask, count
-                if count == 0:
+        index = 0
+        for entry in self.entries:
+            if entry.valid:
+                mask = entry.unchanging & (value ^ entry.previous)
+                if not mask:
+                    closest = index
+                    best_count = 0
                     break
+                count = mask.bit_count()
+                if count < best_count:
+                    closest, best_mask, best_count = index, mask, count
+            index += 1
 
-        if closest >= 0 and best_count == 0:
+        if best_count == 0:
             # Full match: value is inside its neighbourhood.
             self.entries[closest].update(value)
-            self._touch(closest)
+            self._stamps[closest] = self.lookups
             return LookupResult(False, closest, 0, 0)
 
         if closest < 0:
             # Cold table: install without triggering.
-            index = self._lru[-1]
+            index = self._victim()
             self.entries[index].install(value)
-            self._touch(index)
+            self._stamps[index] = self.lookups
             return LookupResult(False, index, 0, 0, cold_install=True)
 
         self.triggers += 1
         if best_count <= self.loosen_threshold:
             # Loosen the closest filter to admit the new value (Figure 3b).
             self.entries[closest].update(value)
-            self._touch(closest)
+            self._stamps[closest] = self.lookups
             return LookupResult(True, closest, best_mask, best_count)
 
-        # Too far from every filter: replace the LRU entry. Prefer a
-        # never-used entry if one remains.
-        victim = next((i for i in reversed(self._lru)
-                       if not self.entries[i].valid), self._lru[-1])
+        # Too far from every filter: replace the LRU entry (a never-used
+        # entry while one remains; see _victim).
+        victim = self._victim()
         self.entries[victim].install(value)
-        self._touch(victim)
+        self._stamps[victim] = self.lookups
         return LookupResult(True, closest, best_mask, best_count,
                             replaced_index=victim)
 
@@ -116,7 +128,7 @@ class TCAM:
         twin = TCAM.__new__(TCAM)
         twin.entries = [entry.clone() for entry in self.entries]
         twin.loosen_threshold = self.loosen_threshold
-        twin._lru = list(self._lru)
+        twin._stamps = list(self._stamps)
         twin.lookups = self.lookups
         twin.triggers = self.triggers
         return twin

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .opcodes import (Opcode, OpClass, has_dest, is_branch, op_class,
                       op_latency, reads_two_regs)
+from .semantics import semantics_of
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,11 @@ class Instruction:
     at construction instead of recomputed per access. They are plain
     attributes, not dataclass fields: equality, repr and ``replace`` see
     only the five encoding fields.
+
+    ``evaluate`` is the opcode's ``fn(a, b, imm)`` from
+    :mod:`repro.isa.semantics` — the ALU result or branch taken flag, or
+    ``None`` for memory and misc opcodes — so the execute stage calls it
+    without dispatching on the opcode.
     """
 
     opcode: Opcode
@@ -57,6 +63,7 @@ class Instruction:
         # has_dest only: the r0-discard rule is a rename-time decision,
         # applied where the MicroOp caches its own writes_reg flag
         cache(self, "writes_reg", has_dest(op))
+        cache(self, "evaluate", semantics_of(op))
         if op in (Opcode.NOP, Opcode.HALT, Opcode.JMP, Opcode.MOVI):
             srcs = ()
         elif op is Opcode.LD:
@@ -71,10 +78,10 @@ class Instruction:
         return self    # frozen: shared by deep copies of in-flight ops
 
     def __setstate__(self, state) -> None:
-        # instructions pickled before the derived facts were materialised
-        # carry only the five encoding fields; re-derive the rest
+        # instructions pickled before the derived facts (or the bound
+        # semantics) were materialised lack them; re-derive the rest
         self.__dict__.update(state)
-        if "latency" not in state:
+        if "latency" not in state or "evaluate" not in state:
             self.__post_init__()
 
     def source_regs(self) -> tuple:

@@ -29,8 +29,7 @@ from ..errors import MemoryFault, SimulationError
 from ..isa.interpreter import Interpreter
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
-from ..isa.semantics import (alu_result, branch_taken, check_address,
-                             effective_address)
+from ..isa.semantics import branch_taken, check_address, effective_address
 from ..memory.hierarchy import MemoryHierarchy
 from .branch import BranchPredictor
 from .func_units import FunctionalUnits
@@ -46,29 +45,26 @@ FRONTEND_DEPTH = 3
 #: Fetch-buffer capacity per thread.
 FETCH_BUFFER_CAP = 16
 
-#: Ordering of screening actions by severity, for stores that produce two
-#: check results (address and value).
-_SEVERITY = {
-    CheckAction.NONE: 0,
-    CheckAction.SUPPRESSED: 1,
-    CheckAction.REPLAY: 2,
-    CheckAction.SINGLETON: 3,
-    CheckAction.SQUASH: 4,
-}
-#: Hoisted bound method: the screening path runs once per memory op.
-_SEVERITY_OF = _SEVERITY.__getitem__
-
 #: Enum members and key functions the per-cycle stages test, as module
-#: globals (one dict lookup, not a class attribute walk per use).
+#: globals (one dict lookup, not a class attribute walk per use). No
+#: per-cycle function names an enum member through its class or keys a
+#: dict by one (tests/test_hot_path_enums.py holds the line).
 _WAITING = OpState.WAITING
 _EXECUTING = OpState.EXECUTING
 _COMPLETED = OpState.COMPLETED
+_COMMITTED = OpState.COMMITTED
 _SQUASHED = OpState.SQUASHED
 _HALT = Opcode.HALT
 _JMP = Opcode.JMP
-_NOP = Opcode.NOP
 _STALL = ForwardStatus.STALL
 _HIT = ForwardStatus.HIT
+_LOAD_ADDR = CheckKind.LOAD_ADDR
+_STORE_ADDR = CheckKind.STORE_ADDR
+_STORE_VALUE = CheckKind.STORE_VALUE
+_NONE = CheckAction.NONE
+_REPLAY = CheckAction.REPLAY
+_SQUASH = CheckAction.SQUASH
+_SINGLETON = CheckAction.SINGLETON
 _UID = attrgetter("uid")
 
 #: Event horizon for :meth:`PipelineCore.quiescent_until`: returned when
@@ -210,7 +206,7 @@ class PipelineCore:
             inst = thread.program.fetch(state.pc)
             if inst is None:
                 break
-            if inst.is_branch and inst.opcode is not Opcode.JMP:
+            if inst.is_branch and inst.opcode is not _JMP:
                 taken = branch_taken(inst.opcode, state.read_reg(inst.rs1),
                                      state.read_reg(inst.rs2))
                 outcomes.append(taken)
@@ -526,7 +522,7 @@ class PipelineCore:
             return False    # would issue and resolve as an exception
         status, _value, _uid = self.threads[op.thread_id].lsq.forward_value(
             op, address)
-        return status is ForwardStatus.STALL
+        return status is _STALL
 
     def _frontend_next_event(self, now: int) -> Optional[int]:
         """Dispatch/fetch events: the earliest cycle either front-end
@@ -754,7 +750,7 @@ class PipelineCore:
         suppress = (thread.screen_suppress_remaining > 0
                     or op.screen_suppressed)
         action = self._screen(op, at_commit=True, suppress=suppress)
-        if action is not CheckAction.SINGLETON:
+        if action is not _SINGLETON:
             return False
         self.stats.singleton_reexecs += 1
         op.singleton_stall = self.hw.singleton_reexec_cycles
@@ -811,14 +807,14 @@ class PipelineCore:
             # rename-fault corruption of Section 5.5.
             if op.old_phys_dest is not None:
                 self.free_list.free(op.old_phys_dest)
-            thread.committed_rat.set(inst.rd, op.phys_dest)
+            thread.committed_rat.map[inst.rd] = op.phys_dest
 
         self.iq.remove(op)
         pc = op.pc
         thread.arch_pc = (inst.imm if op.is_branch and op.actual_taken
                           else pc + 1)
 
-        op.state = OpState.COMMITTED
+        op.state = _COMMITTED
         op.cycle_committed = self.cycle
         thread.rob._ops.popleft()
         count = thread.committed_count = thread.committed_count + 1
@@ -879,7 +875,7 @@ class PipelineCore:
         thread.exceptions.append(
             (thread.committed_count, op.pc, op.exception_addr))
         thread.arch_pc = op.pc
-        op.state = OpState.COMMITTED  # consumed by the exception
+        op.state = _COMMITTED  # consumed by the exception
         thread.rob.pop_head()
         if op.is_mem:
             thread.lsq.remove(op)
@@ -919,7 +915,7 @@ class PipelineCore:
     def _bounce(self, op: MicroOp) -> None:
         """Return an op whose operands became unready (producer replay) to
         the issue queue — the load-hit-speculation-style retry."""
-        op.state = OpState.WAITING
+        op.state = _WAITING
         op.exec_done_at = -1
         if op.is_mem:
             op.eff_addr = None
@@ -938,7 +934,6 @@ class PipelineCore:
         stats = self.stats
         thread = self.threads[op.thread_id]
         inst = op.inst
-        opcode = inst.opcode
 
         if op.is_load:
             if not self._complete_load(thread, op):
@@ -954,12 +949,12 @@ class PipelineCore:
                 self._check_order_violation(thread, op)
         elif op.is_branch:
             self._complete_branch(thread, op)
-        elif opcode is not _NOP and opcode is not _HALT:
+        elif inst.evaluate is not None:    # an ALU op (not NOP/HALT)
             values = prf.values
             count = len(srcs)
             stats.regfile_reads += count
-            op.result = alu_result(
-                opcode, values[srcs[0]] if count else 0,
+            op.result = inst.evaluate(
+                values[srcs[0]] if count else 0,
                 values[srcs[1]] if count > 1 else 0, inst.imm)
 
         if op.phys_dest is not None:
@@ -999,13 +994,13 @@ class PipelineCore:
             op.result = 0
             return True
         status, value, store_uid = thread.lsq.forward_value(op, address)
-        if status is ForwardStatus.STALL:
+        if status is _STALL:
             # the newest matching older store has not produced its value
             # yet: reading memory here would consume a stale value that
             # no later check revisits — bounce and retry instead
             self._bounce(op)
             return False
-        if status is ForwardStatus.HIT:
+        if status is _HIT:
             op.result = value
             op.forwarded_from = store_uid
             self.stats.forwarded_loads += 1
@@ -1014,17 +1009,19 @@ class PipelineCore:
         return True
 
     def _complete_branch(self, thread: ThreadContext, op: MicroOp) -> None:
-        srcs = [self.prf.read(p) for p in op.phys_srcs]
-        self.stats.regfile_reads += len(srcs)
-        a = srcs[0] if srcs else 0
-        b = srcs[1] if len(srcs) > 1 else 0
-        op.actual_taken = branch_taken(op.inst.opcode, a, b)
-        predictor = self.predictors[op.thread_id]
-        if op.inst.opcode is not Opcode.JMP:
-            op.mispredicted = op.actual_taken != op.predicted_taken
-            predictor.update(op.thread_id, op.pc, op.actual_taken,
-                             op.mispredicted)
-            if op.mispredicted:
+        srcs = op.phys_srcs
+        values = self.prf.values
+        count = len(srcs)
+        self.stats.regfile_reads += count
+        inst = op.inst
+        taken = op.actual_taken = inst.evaluate(
+            values[srcs[0]] if count else 0,
+            values[srcs[1]] if count > 1 else 0, inst.imm)
+        if inst.opcode is not _JMP:
+            mispredicted = op.mispredicted = taken != op.predicted_taken
+            self.predictors[op.thread_id].update(op.thread_id, op.pc, taken,
+                                                 mispredicted)
+            if mispredicted:
                 self.stats.branch_mispredicts += 1
                 self._recover_from_branch(thread, op)
 
@@ -1041,17 +1038,15 @@ class PipelineCore:
         check = unit.check_at_commit if at_commit else unit.check_at_complete
         try:
             if op.is_load:
-                # single check: no max() needed
-                action = check(CheckKind.LOAD_ADDR, op.eff_addr, op.pc).action
+                # single check: no severity compare needed
+                action = check(_LOAD_ADDR, op.eff_addr, op.pc).action
             else:
-                addr = check(CheckKind.STORE_ADDR, op.eff_addr, op.pc).action
-                value = check(CheckKind.STORE_VALUE, op.store_value,
-                              op.pc).action
-                action = (addr if _SEVERITY_OF(addr) >= _SEVERITY_OF(value)
-                          else value)
+                addr = check(_STORE_ADDR, op.eff_addr, op.pc).action
+                value = check(_STORE_VALUE, op.store_value, op.pc).action
+                action = addr if addr.severity >= value.severity else value
         finally:
             unit.replaying = saved
-        if action is not CheckAction.NONE:
+        if action is not _NONE:
             self.screen_trigger_cycles.append(self.cycle)
         return action
 
@@ -1061,9 +1056,9 @@ class PipelineCore:
                     or thread.screen_suppress_remaining > 0
                     or op.screen_suppressed)
         action = self._screen(op, at_commit=False, suppress=suppress)
-        if action is CheckAction.REPLAY:
+        if action is _REPLAY:
             self._initiate_replay(op)
-        elif action is CheckAction.SQUASH:
+        elif action is _SQUASH:
             self._screening_rollback(thread)
 
     def _initiate_replay(self, trigger: MicroOp) -> None:
@@ -1072,7 +1067,7 @@ class PipelineCore:
         marked = self.iq.mark_predecessors_for_replay(trigger.uid)
         if trigger.in_delay_buffer:
             self.iq.delay_buffer.remove(trigger)
-        if trigger in self.iq and trigger.state is OpState.COMPLETED:
+        if trigger in self.iq and trigger.state is _COMPLETED:
             trigger.mark_for_replay()
             marked.append(trigger)
         if not marked:
@@ -1241,6 +1236,7 @@ class PipelineCore:
         iq = self.iq
         iq_ops = iq._ops
         iq_cap = iq.capacity
+        insert = iq.insert
         delay_buffer = iq.delay_buffer
         if len(iq_ops) >= iq_cap and not delay_buffer:
             return    # dispatch only fills the IQ, so a full queue at
@@ -1270,8 +1266,7 @@ class PipelineCore:
             rob = thread.rob
             rob_ops = rob._ops
             lsq = thread.lsq
-            spec_rat = thread.spec_rat
-            rename = spec_rat.map
+            rename = thread.spec_rat.map
             while budget > 0 and buffer:
                 op = buffer[0]
                 if op.dispatch_ready_at > cycle:
@@ -1297,12 +1292,13 @@ class PipelineCore:
                 elif srcs:
                     op.phys_srcs = (rename[srcs[0]],)
                 if writes_reg:
+                    rd = inst.rd
                     new_phys = allocate()
-                    op.old_phys_dest = rename[inst.rd]
+                    op.old_phys_dest = rename[rd]
                     op.phys_dest = new_phys
                     ready_bits[new_phys] = False
-                    spec_rat.set(inst.rd, new_phys)
-                iq.insert(op)
+                    rename[rd] = new_phys
+                insert(op)
                 buffer.popleft()
                 rob_ops.append(op)
                 rob_total += 1

@@ -16,6 +16,10 @@ from typing import Deque, Dict, Iterator, List, Optional
 
 from .uops import MicroOp, OpState
 
+#: Hoisted: tested or assigned for every queued op (no class-attribute
+#: walk per use).
+_WAITING = OpState.WAITING
+
 
 class DelayBuffer:
     """FIFO of recently completed ops still occupying issue-queue slots."""
@@ -127,17 +131,18 @@ class IssueQueue:
         (Section 3.3: later buffered ops must not wait on a replaced one).
         """
         ops = self._ops
-        if not self.has_free_slot:
+        if len(ops) >= self.capacity:
             if not self.delay_buffer:
                 return False
             for dropped in self.delay_buffer.squash():
                 ops.pop(dropped, None)
         ops[op] = None
-        op.state = OpState.WAITING
+        op.state = _WAITING
         return True
 
     def remove(self, op: MicroOp) -> None:
-        self.delay_buffer.remove(op)
+        if op.in_delay_buffer:
+            self.delay_buffer.remove(op)
         self._ops.pop(op, None)
 
     def on_complete(self, op: MicroOp) -> None:
@@ -172,7 +177,7 @@ class IssueQueue:
         out (issuing flips states but never mutates the queue itself, so
         iterating live is safe)."""
         for op in self._ops:
-            if op.state is OpState.WAITING:
+            if op.state is _WAITING:
                 yield op
 
     def next_event_cycle(self, now: int, ready: List[bool],
@@ -189,7 +194,7 @@ class IssueQueue:
         probe, whose loads retry every cycle without changing any state.
         """
         for op in self._ops:
-            if op.state is not OpState.WAITING:
+            if op.state is not _WAITING:
                 continue
             srcs_ready = True
             for phys in op.phys_srcs:

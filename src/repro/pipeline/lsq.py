@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Tuple
 
-from .uops import MicroOp
+from .uops import MicroOp, OpState
 
 
 class ForwardStatus(enum.Enum):
@@ -39,6 +39,14 @@ class ForwardStatus(enum.Enum):
 
     def __bool__(self) -> bool:
         return self is ForwardStatus.HIT
+
+
+#: The value-less probe outcomes, prebuilt; and the member the violation
+#: sweep tests, hoisted (no class-attribute walk per probe or per op).
+_MISS_RESULT = (ForwardStatus.MISS, None, None)
+_STALL_RESULT = (ForwardStatus.STALL, None, None)
+_HIT = ForwardStatus.HIT
+_COMPLETED = OpState.COMPLETED
 
 
 class LoadStoreQueue:
@@ -97,11 +105,10 @@ class LoadStoreQueue:
         stale value — memory-order violations exposed when *store*
         resolves. A load is safe only if it forwarded from this store or
         a younger one."""
-        from .uops import OpState
         violations = []
         for op in self._ops:
             if (op.uid > store.uid and op.is_load
-                    and op.state is OpState.COMPLETED
+                    and op.state is _COMPLETED
                     and op.eff_addr == store.eff_addr
                     and (op.forwarded_from is None
                          # <= : a load that forwarded from this very store
@@ -131,10 +138,10 @@ class LoadStoreQueue:
             if op.is_store and op.eff_addr == address:
                 best = op
         if best is None:
-            return ForwardStatus.MISS, None, None
+            return _MISS_RESULT
         if best.store_value is None:
-            return ForwardStatus.STALL, None, None
-        return ForwardStatus.HIT, best.store_value, best.uid
+            return _STALL_RESULT
+        return _HIT, best.store_value, best.uid
 
     def resident(self, op: MicroOp) -> bool:
         return op in self._ops

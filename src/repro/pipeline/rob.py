@@ -7,6 +7,9 @@ from typing import Deque, Iterator, List, Optional
 
 from .uops import MicroOp, OpState
 
+#: Hoisted: the fast-forward scan tests every thread's head each step.
+_COMPLETED = OpState.COMPLETED
+
 
 class ReorderBuffer:
     """FIFO of dispatched, uncommitted micro-ops for one thread."""
@@ -47,7 +50,7 @@ class ReorderBuffer:
         completion has its own event source.
         """
         ops = self._ops
-        if ops and ops[0].state is OpState.COMPLETED:
+        if ops and ops[0].state is _COMPLETED:
             return now + 1
         return None
 

@@ -19,6 +19,13 @@ class OpState(enum.Enum):
     SQUASHED = "squashed"
 
 
+#: Members the per-op paths assign and test, as module globals (no
+#: class-attribute walk per op).
+_FETCHED = OpState.FETCHED
+_WAITING = OpState.WAITING
+_COMPLETED = OpState.COMPLETED
+
+
 class MicroOp:
     """Mutable per-dynamic-instruction state.
 
@@ -46,7 +53,7 @@ class MicroOp:
         self.thread_id = thread_id
         self.pc = pc
         self.inst = inst
-        self.state = OpState.FETCHED
+        self.state = _FETCHED
         # static facts, copied out of the (shared, precomputed)
         # instruction: every stage tests these on every pass over the op
         self.is_load = inst.is_load
@@ -121,13 +128,13 @@ class MicroOp:
     # -- convenience ------------------------------------------------------
     @property
     def completed(self) -> bool:
-        return self.state is OpState.COMPLETED
+        return self.state is _COMPLETED
 
     def mark_for_replay(self) -> None:
         """Return a completed op to the waiting state for re-execution."""
         self.replay_marked = True
         self.in_delay_buffer = False
-        self.state = OpState.WAITING
+        self.state = _WAITING
         self.result = None
         self.eff_addr = None
         self.store_value = None

@@ -1,6 +1,9 @@
 """Differential test: the production TCAM vs a deliberately naive
 reference implementation (explicit machine objects, no bitboards)."""
 
+import collections
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +51,8 @@ class ReferenceTCAM:
         self.entries = [ReferenceFilter() for _ in range(entries)]
         self.threshold = threshold
         self.lru = list(range(entries))
+        #: The entry the last lookup replaced with a fresh filter, if any.
+        self.replaced = None
 
     def touch(self, index):
         self.lru.remove(index)
@@ -55,6 +60,7 @@ class ReferenceTCAM:
 
     def lookup(self, value):
         value &= MASK64
+        self.replaced = None
         closest, best_count = -1, 65
         for index, entry in enumerate(self.entries):
             if not entry.valid:
@@ -81,6 +87,7 @@ class ReferenceTCAM:
                        if not self.entries[i].valid), self.lru[-1])
         self.entries[victim].install(value)
         self.touch(victim)
+        self.replaced = victim
         return True, closest, best_count
 
 
@@ -123,3 +130,50 @@ def test_internal_state_tracks_reference(data):
         if prod.valid:
             assert prod.previous == ref.previous
             assert prod.changing_mask == ref.changing_mask()
+
+
+def _forcing_stream(seed, length=400):
+    """Values from a few far-apart regions (64-bit random high parts),
+    each jittered in its low 7 bits: a region's first value is a far miss
+    (a cold install, then never-used entries, then LRU victims), small
+    jitters loosen, and several entries in one region tie."""
+    rng = random.Random(seed)
+    regions = [rng.getrandbits(64) & ~0x7F for _ in range(6)]
+    for step in range(length):
+        region = regions[rng.randrange(min(len(regions), 2 + step // 40))]
+        yield region | rng.getrandbits(7)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_use_stamp_lru_matches_list_lru_reference(seed):
+    """The use-stamp LRU must pick exactly the list-ordered LRU's entries:
+    the same closest index and the same replaced index, lookup by
+    lookup, over a stream that exercises every path."""
+    production = TCAM(entries=4, loosen_threshold=3)
+    reference = ReferenceTCAM(entries=4, threshold=3)
+    seen = collections.Counter()
+    for value in _forcing_stream(seed):
+        counts = [entry.mismatch_mask(value).bit_count()
+                  for entry in reference.entries if entry.valid]
+        valid_before = sum(entry.valid for entry in reference.entries)
+        result = production.lookup(value)
+        triggered, closest, count = reference.lookup(value)
+        assert result.closest_index == closest
+        assert result.replaced_index == reference.replaced
+        assert (result.triggered, result.mismatch_count) == (triggered,
+                                                             count)
+        if result.cold_install:
+            seen["cold"] += 1
+        elif result.replaced_index is not None:
+            seen["never-used" if valid_before < 4 else "lru"] += 1
+        elif result.triggered:
+            seen["loosen"] += 1
+        if counts.count(min(counts, default=-1)) > 1:
+            seen["tie"] += 1
+    for prod, ref in zip(production.entries, reference.entries):
+        assert prod.valid == ref.valid
+        assert prod.unchanging == ~ref.changing_mask() & MASK64
+    # the stream really forced every path it is meant to cover
+    assert seen["cold"] == 1
+    assert seen["never-used"] == 3
+    assert seen["lru"] > 0 and seen["loosen"] > 0 and seen["tie"] > 0

@@ -11,7 +11,6 @@ TCAMs for nearest-neighbour search [25].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import VALUE_MASK
@@ -19,26 +18,43 @@ from ..errors import ConfigurationError
 from .bitmask_filter import BitmaskFilter
 
 
-@dataclass(frozen=True)
 class LookupResult:
-    """Outcome of one TCAM lookup-and-update."""
+    """Outcome of one TCAM lookup-and-update (read-only by convention).
 
-    #: True when no filter fully matched — a new neighbourhood or a fault.
-    triggered: bool
-    #: Index of the closest-matching filter (the squash machines key on its
-    #: identity). For a cold install this is the installed entry.
-    closest_index: int
-    #: Mismatching unchanging bit positions of the closest filter, before
-    #: the update. Zero on a full match or cold install.
-    mismatch_mask: int
-    #: popcount of ``mismatch_mask``.
-    mismatch_count: int
-    #: Index of the entry that was replaced by a fresh filter, when the
-    #: mismatch exceeded the loosen threshold; ``None`` otherwise.
-    replaced_index: Optional[int] = None
-    #: True when the value was installed into a never-used entry (cold
-    #: start; not counted as a trigger).
-    cold_install: bool = False
+    A slotted plain class: it is built on every lookup, and a frozen
+    dataclass's ``__init__`` goes through ``object.__setattr__`` per
+    field."""
+
+    __slots__ = ("triggered", "closest_index", "mismatch_mask",
+                 "mismatch_count", "replaced_index", "cold_install")
+
+    def __init__(self, triggered: bool, closest_index: int,
+                 mismatch_mask: int, mismatch_count: int,
+                 replaced_index: Optional[int] = None,
+                 cold_install: bool = False):
+        #: True when no filter fully matched — a new neighbourhood or a
+        #: fault.
+        self.triggered = triggered
+        #: Index of the closest-matching filter (the squash machines key
+        #: on its identity). For a cold install this is the installed
+        #: entry.
+        self.closest_index = closest_index
+        #: Mismatching unchanging bit positions of the closest filter,
+        #: before the update. Zero on a full match or cold install.
+        self.mismatch_mask = mismatch_mask
+        #: popcount of ``mismatch_mask``.
+        self.mismatch_count = mismatch_count
+        #: Index of the entry that was replaced by a fresh filter, when
+        #: the mismatch exceeded the loosen threshold; ``None`` otherwise.
+        self.replaced_index = replaced_index
+        #: True when the value was installed into a never-used entry
+        #: (cold start; not counted as a trigger).
+        self.cold_install = cold_install
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"LookupResult({fields})"
 
 
 class TCAM:

@@ -8,16 +8,24 @@ a fault-injected pipeline against a golden run meaningfully.
 
 from __future__ import annotations
 
+import weakref
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..config import VALUE_MASK
 from ..errors import MemoryFault
 from .instruction import Instruction
-from .opcodes import Opcode, OpClass
+from .opcodes import Opcode
 from .program import Program
-from .semantics import (alu_result, branch_taken, check_address,
-                        effective_address)
+from .semantics import check_address, effective_address
+
+#: Members :meth:`Interpreter.step` and the golden pass test, as module
+#: globals (no class-attribute walk per step).
+_HALT = Opcode.HALT
+_NOP = Opcode.NOP
+_JMP = Opcode.JMP
 
 
 @dataclass
@@ -105,9 +113,9 @@ class Interpreter:
         next_pc = state.pc + 1
         op = inst.opcode
         try:
-            if op is Opcode.HALT:
+            if op is _HALT:
                 state.halted = True
-            elif op is Opcode.NOP:
+            elif op is _NOP:
                 pass
             elif inst.is_load:
                 address = effective_address(state.read_reg(inst.rs1), inst.imm)
@@ -122,13 +130,14 @@ class Interpreter:
                     self.mem_trace.append(("store_value", value))
                 state.write_mem(address, value)
             elif inst.is_branch:
-                taken = branch_taken(op, state.read_reg(inst.rs1),
-                                     state.read_reg(inst.rs2))
-                if taken:
+                if inst.evaluate(state.read_reg(inst.rs1),
+                                 state.read_reg(inst.rs2), inst.imm):
                     next_pc = inst.imm
             else:
-                result = alu_result(op, state.read_reg(inst.rs1),
-                                    state.read_reg(inst.rs2), inst.imm)
+                # inst.evaluate is the opcode's semantics function
+                # (repro.isa.semantics), the ALU result here
+                result = inst.evaluate(state.read_reg(inst.rs1),
+                                       state.read_reg(inst.rs2), inst.imm)
                 state.write_reg(inst.rd, result)
         except MemoryFault as fault:
             self.exceptions.append(ExceptionRecord(
@@ -148,10 +157,85 @@ class Interpreter:
                 break
         return self.state
 
+    def run_traced(self, max_instructions: int) -> "GoldenTrace":
+        """:meth:`run`, recording the outcome of every conditional branch
+        and the step it executed at (instructions retired before it)."""
+        state = self.state
+        fetch = self.program.fetch
+        read = state.read_reg
+        step = self.step
+        positions = array("q")
+        outcomes = []
+        for position in range(max_instructions):
+            if state.halted:
+                break
+            inst = fetch(state.pc)
+            if (inst is not None and inst.is_branch
+                    and inst.opcode is not _JMP):
+                positions.append(position)
+                outcomes.append(inst.evaluate(read(inst.rs1),
+                                              read(inst.rs2), inst.imm))
+            if step() is None:
+                break
+        return GoldenTrace(state.instret, state.halted, positions,
+                           tuple(outcomes))
+
+
+class GoldenTrace:
+    """What one golden run of a program leaves behind for the pipeline:
+    how many instructions it retired, whether it halted within its step
+    budget, and its conditional-branch outcomes in execution order."""
+
+    __slots__ = ("instret", "halted", "_positions", "_outcomes")
+
+    def __init__(self, instret: int, halted: bool, positions: array,
+                 outcomes: Tuple[bool, ...]):
+        self.instret = instret
+        self.halted = halted
+        self._positions = positions
+        self._outcomes = outcomes
+
+    def covers(self, steps: int) -> bool:
+        """True when this trace answers for a run of *steps* steps."""
+        return self.halted or self.instret >= steps
+
+    def dynamic_length(self, steps: int) -> int:
+        """Instructions retired in a run of at most *steps* steps."""
+        return min(self.instret, steps)
+
+    def branch_outcomes(self, steps: int) -> Tuple[bool, ...]:
+        """Outcomes of the conditional branches among the first *steps*
+        instructions."""
+        count = bisect_left(self._positions, steps)
+        outcomes = self._outcomes
+        return outcomes if count == len(outcomes) else outcomes[:count]
+
+
+#: ``id(program)`` → its golden trace. Keyed by the program object (the
+#: experiment context and campaigns hold and reuse those), relying on
+#: Program's immutable-once-built convention. A finalizer evicts the entry
+#: when the program is collected, so recycled ids can never alias.
+_GOLDEN_CACHE: Dict[int, GoldenTrace] = {}
+
+
+def golden_trace(program: Program, steps: int) -> GoldenTrace:
+    """The golden trace of *program* covering at least *steps* steps,
+    memoised per program object: one interpretation serves every length
+    and branch-oracle request it covers (a program that halts within its
+    first run is never interpreted again)."""
+    key = id(program)
+    trace = _GOLDEN_CACHE.get(key)
+    if trace is None or not trace.covers(steps):
+        if trace is None:
+            weakref.finalize(program, _GOLDEN_CACHE.pop, key, None)
+        trace = _GOLDEN_CACHE[key] = Interpreter(program).run_traced(steps)
+    return trace
+
 
 def run_program(program: Program, max_instructions: int = 1_000_000) -> ArchState:
     """Convenience wrapper: interpret *program* and return the final state."""
     return Interpreter(program).run(max_instructions)
 
 
-__all__ = ["ArchState", "ExceptionRecord", "Interpreter", "run_program"]
+__all__ = ["ArchState", "ExceptionRecord", "GoldenTrace", "Interpreter",
+           "golden_trace", "run_program"]

@@ -129,6 +129,23 @@ def reads_two_regs(op: Opcode) -> bool:
             or is_conditional_branch(op))
 
 
+#: Functional-unit pools, by index (Table 2: 4 ALUs, 2 multipliers, 2
+#: FPUs, plus the data-cache ports). Branches and misc ops take an ALU;
+#: loads and stores share the memory ports.
+ALU_POOL, MUL_POOL, FPU_POOL, MEM_POOL = range(4)
+
+_POOL: Dict[OpClass, int] = {
+    OpClass.ALU: ALU_POOL, OpClass.BRANCH: ALU_POOL, OpClass.OTHER: ALU_POOL,
+    OpClass.MUL: MUL_POOL, OpClass.FPU: FPU_POOL,
+    OpClass.LOAD: MEM_POOL, OpClass.STORE: MEM_POOL,
+}
+
+
+def fu_pool(op: Opcode) -> int:
+    """Index of the functional-unit pool that issues *op*."""
+    return _POOL[_CLASS[op]]
+
+
 __all__ = [
     "Opcode",
     "OpClass",
@@ -138,4 +155,9 @@ __all__ = [
     "is_conditional_branch",
     "has_dest",
     "reads_two_regs",
+    "ALU_POOL",
+    "MUL_POOL",
+    "FPU_POOL",
+    "MEM_POOL",
+    "fu_pool",
 ]

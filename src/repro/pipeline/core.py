@@ -16,20 +16,19 @@ flow-through.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from operator import attrgetter
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..config import HardwareConfig
+from ..config import VALUE_MASK, HardwareConfig
 from ..core.actions import CheckAction, CheckKind
 from ..core.screening import NullScreeningUnit, ScreeningUnit
 from ..errors import MemoryFault, SimulationError
-from ..isa.interpreter import Interpreter
+from ..isa.interpreter import golden_trace
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
-from ..isa.semantics import branch_taken, check_address, effective_address
+from ..isa.semantics import check_address, effective_address
 from ..memory.hierarchy import MemoryHierarchy
 from .branch import BranchPredictor
 from .func_units import FunctionalUnits
@@ -71,14 +70,6 @@ _UID = attrgetter("uid")
 #: nothing is pending at all, so a hung window jumps straight to its
 #: cycle bound — exactly where cycle-by-cycle stepping would land.
 _NO_EVENT = 1 << 62
-
-#: Branch-oracle cache: ``(id(program), max_commits)`` → recorded
-#: outcomes. Keyed by the program object the caller passed to the
-#: constructor (campaigns hold and reuse those across every fresh core),
-#: relying on Program's immutable-once-built convention. A finalizer
-#: evicts entries when the program is collected, so recycled ids can
-#: never alias.
-_ORACLE_CACHE: Dict[Tuple[int, Optional[int]], Tuple[bool, ...]] = {}
 
 
 class PipelineCore:
@@ -179,40 +170,20 @@ class PipelineCore:
     # ------------------------------------------------------------------
     def _cached_branch_outcomes(self, program: Program,
                                 thread: ThreadContext) -> Tuple[bool, ...]:
-        """Branch-oracle outcomes for *thread*, memoised per
-        ``(program identity, max_commits)`` so campaigns constructing
-        many fresh cores re-interpret each program once, not per core.
-        *program* is the caller's object (pre-``ensure_halts``; appending
-        a HALT never adds branch outcomes, so the recording is keyed on
-        the object callers actually share)."""
-        key = (id(program), thread.max_commits)
-        outcomes = _ORACLE_CACHE.get(key)
-        if outcomes is None:
-            outcomes = tuple(self._build_branch_oracle(thread))
-            _ORACLE_CACHE[key] = outcomes
-            weakref.finalize(program, _ORACLE_CACHE.pop, key, None)
-        return outcomes
+        """Branch-oracle outcomes for *thread* (SRT-iso's perfect
+        trailing-thread branch prediction): the conditional-branch
+        outcomes among the first ``(max_commits or 200_000) * 2 + 1000``
+        instructions of the golden run.
 
-    def _build_branch_oracle(self, thread: ThreadContext) -> Deque[bool]:
-        """Pre-execute the program to record conditional-branch outcomes
-        (SRT-iso's perfect trailing-thread branch prediction)."""
-        interp = Interpreter(thread.program)
-        outcomes: Deque[bool] = deque()
+        They come from the program's one golden interpretation
+        (:func:`~repro.isa.interpreter.golden_trace`), memoised per
+        program object, so campaigns constructing many fresh cores — and
+        SRT's ``dynamic_length`` — interpret each program once. *program*
+        is the caller's object (pre-``ensure_halts``; appending a HALT
+        never adds branch outcomes, so the recording is keyed on the
+        object callers actually share)."""
         limit = (thread.max_commits or 200_000) * 2 + 1000
-        state = interp.state
-        for _ in range(limit):
-            if state.halted:
-                break
-            inst = thread.program.fetch(state.pc)
-            if inst is None:
-                break
-            if inst.is_branch and inst.opcode is not _JMP:
-                taken = branch_taken(inst.opcode, state.read_reg(inst.rs1),
-                                     state.read_reg(inst.rs2))
-                outcomes.append(taken)
-            if interp.step() is None:
-                break
-        return outcomes
+        return golden_trace(program, limit).branch_outcomes(limit)
 
     # ------------------------------------------------------------------
     # public driving API
@@ -603,21 +574,44 @@ class PipelineCore:
     # ------------------------------------------------------------------
     # run drivers
     # ------------------------------------------------------------------
-    def step_until(self, target_cycle: int) -> None:
-        """Advance to *target_cycle* (or until every thread halts),
-        eliding provably idle stretches."""
+    def _drive(self, bound: int, total_commits: int = _NO_EVENT,
+               capture: bool = False) -> None:
+        """Step until cycle *bound*, every thread halts, the all-thread
+        committed count reaches *total_commits*, or — with *capture* —
+        every armed snapshot target is captured, eliding provably idle
+        stretches. The loop of every run driver below.
+
+        It tests ``all_halted`` and compares ``activity_signature()``
+        inline, not through the property and the method, because it runs
+        once per stepped cycle."""
         step = self.step
+        threads = self.threads
+        stats = self.stats
+        captured = self.captured_snapshots
+        wanted = len(self.snapshot_targets) if capture else _NO_EVENT
         signature = -1
-        while self.cycle < target_cycle:
-            if self.all_halted:
+        while self.cycle < bound:
+            if stats.committed >= total_commits or len(captured) >= wanted:
                 return
-            current = self.activity_signature()
-            if (current == signature
-                    and self.elide_idle_cycles(target_cycle)
-                    and self.cycle >= target_cycle):
+            for thread in threads:
+                if not thread.halted:
+                    break
+            else:
+                return
+            current = (stats.fetched + stats.dispatched + stats.issued
+                       + stats.completed + stats.committed + stats.squashed
+                       + stats.exceptions + stats.replay_events
+                       + stats.branch_mispredicts)
+            if (current == signature and self.elide_idle_cycles(bound)
+                    and self.cycle >= bound):
                 return
             signature = current
             step()
+
+    def step_until(self, target_cycle: int) -> None:
+        """Advance to *target_cycle* (or until every thread halts),
+        eliding provably idle stretches."""
+        self._drive(target_cycle)
 
     def run(self, max_cycles: int = 2_000_000) -> PipelineStats:
         """Run until every thread halts, or *max_cycles* more cycles."""
@@ -629,20 +623,8 @@ class PipelineCore:
         """Run until the all-thread committed count reaches the absolute
         coordinate *total_commits*; True when reached, False when every
         thread halted or the cycle budget ran out first."""
-        bound = self.cycle + max_cycles
-        step = self.step
-        stats = self.stats
-        signature = -1
-        while stats.committed < total_commits:
-            if self.all_halted or self.cycle >= bound:
-                break
-            current = self.activity_signature()
-            if (current == signature and self.elide_idle_cycles(bound)
-                    and self.cycle >= bound):
-                break
-            signature = current
-            step()
-        return stats.committed >= total_commits
+        self._drive(self.cycle + max_cycles, total_commits=total_commits)
+        return self.stats.committed >= total_commits
 
     def run_until_commits(self, total_commits: int,
                           max_cycles: int = 2_000_000) -> int:
@@ -657,17 +639,7 @@ class PipelineCore:
         """Run until every armed snapshot target is captured or every
         thread halts, bounded by *max_cycles* more cycles (the tandem
         classifier's window driver)."""
-        bound = self.cycle + max_cycles
-        step = self.step
-        signature = -1
-        while not (self.all_snapshots_captured or self.all_halted) \
-                and self.cycle < bound:
-            current = self.activity_signature()
-            if (current == signature and self.elide_idle_cycles(bound)
-                    and self.cycle >= bound):
-                return
-            signature = current
-            step()
+        self._drive(self.cycle + max_cycles, capture=True)
 
     def arch_snapshot(self) -> Tuple:
         """Digest of every thread's architectural state, registers too."""
@@ -798,7 +770,9 @@ class PipelineCore:
                 stats.committed_stores += 1
             else:
                 stats.committed_loads += 1
-            thread.lsq.remove(op)
+            # the ROB head is its thread's oldest memory op, and the LSQ
+            # holds a thread's memory ops in program order
+            del thread.lsq._ops[0]
 
         if op.writes_reg:
             # Free the physical register holding the previous committed
@@ -806,10 +780,15 @@ class PipelineCore:
             # makes this free the *wrong* (live) register — the uncovered
             # rename-fault corruption of Section 5.5.
             if op.old_phys_dest is not None:
-                self.free_list.free(op.old_phys_dest)
+                self.free_list._tags.append(op.old_phys_dest)
             thread.committed_rat.map[inst.rd] = op.phys_dest
 
-        self.iq.remove(op)
+        # leave the issue queue (IssueQueue.remove, without the call
+        # when the op no longer lingers in the delay buffer)
+        iq = self.iq
+        if op.in_delay_buffer:
+            iq.delay_buffer.remove(op)
+        iq._ops.pop(op, None)
         pc = op.pc
         thread.arch_pc = (inst.imm if op.is_branch and op.actual_taken
                           else pc + 1)
@@ -818,7 +797,11 @@ class PipelineCore:
         op.cycle_committed = self.cycle
         thread.rob._ops.popleft()
         count = thread.committed_count = thread.committed_count + 1
-        stats.note_commit(thread.thread_id, pc)
+        tid = thread.thread_id
+        stats.committed += 1
+        per_thread = stats.per_thread_committed
+        per_thread[tid] = per_thread.get(tid, 0) + 1
+        stats.recent_commits.append((tid, pc))
         if self.snapshot_targets:
             self._maybe_capture(thread)
         if thread.screen_suppress_remaining > 0:
@@ -881,7 +864,7 @@ class PipelineCore:
             thread.lsq.remove(op)
         self.iq.remove(op)
         if op.phys_dest is not None:
-            self.free_list.free(op.phys_dest)
+            self.free_list._tags.append(op.phys_dest)
         self._halt_thread(thread)
 
     # ------------------------------------------------------------------
@@ -957,9 +940,11 @@ class PipelineCore:
                 values[srcs[0]] if count else 0,
                 values[srcs[1]] if count > 1 else 0, inst.imm)
 
-        if op.phys_dest is not None:
+        dest = op.phys_dest
+        if dest is not None:
             result = op.result
-            prf.write(op.phys_dest, 0 if result is None else result)
+            prf.values[dest] = 0 if result is None else result & VALUE_MASK
+            ready[dest] = True
             stats.regfile_writes += 1
 
         op.state = _COMPLETED
@@ -970,7 +955,21 @@ class PipelineCore:
             self._replay_pending.discard(op.uid)
             if not self._replay_pending:
                 self.screening.replaying = False
-        self.iq.on_complete(op)
+        # Completion enters the delay buffer instead of leaving the issue
+        # queue; the op that ages out of it finally vacates its slot (see
+        # DelayBuffer). Without a delay buffer the op leaves at once.
+        iq = self.iq
+        delay = iq.delay_buffer
+        if delay.capacity:
+            lingering = delay._ops
+            op.in_delay_buffer = True
+            lingering.append(op)
+            if len(lingering) > delay.capacity:
+                aged = lingering.popleft()
+                aged.in_delay_buffer = False
+                iq._ops.pop(aged, None)
+        else:
+            iq._ops.pop(op, None)
 
         if op.is_mem and op.exception_addr is None:
             # A re-completing replayed op must not re-trigger: its
@@ -1108,7 +1107,7 @@ class PipelineCore:
         the caller restores the table wholesale (full rollback) or does not
         need it (halt)."""
         iq_remove = self.iq.remove
-        free = self.free_list.free
+        free = self.free_list._tags.append
         replay_pending = self._replay_pending
         squashed = _SQUASHED
         was_executing = False
@@ -1172,7 +1171,9 @@ class PipelineCore:
         # order, WAITING only; issuing flips states but never mutates the
         # queue)
         ready_bits = self.prf.ready
-        try_claim = self.fus.try_claim
+        # functional-unit slots left this cycle, by pool: an op claims
+        # one of its pool's by decrementing the count
+        free_units = self.fus.free
         issue = self._executing.append
         waiting = _WAITING
         running = _EXECUTING
@@ -1186,14 +1187,16 @@ class PipelineCore:
                     break
             else:
                 inst = op.inst
+                pool = inst.fu_pool
+                if not free_units[pool]:
+                    continue
                 if op.is_load:
                     latency = self._load_issue_latency(op)
                     if latency is None:
                         continue
-                elif try_claim(inst.op_class):
-                    latency = inst.latency
                 else:
-                    continue
+                    latency = inst.latency
+                free_units[pool] -= 1
                 op.state = running
                 op.cycle_issued = cycle
                 op.exec_done_at = cycle + latency
@@ -1204,20 +1207,19 @@ class PipelineCore:
         self.stats.issued += issued
 
     def _load_issue_latency(self, op: MicroOp) -> Optional[int]:
-        """Issue a ready load: claim a memory port and return its
-        execution latency, or None when it cannot issue this cycle."""
-        inst = op.inst
+        """The execution latency of a ready load that has a memory port
+        free, or None when it cannot issue this cycle. The issue stage
+        claims the port when this returns a latency."""
         address = effective_address(self.prf.values[op.phys_srcs[0]],
-                                    inst.imm)
+                                    op.inst.imm)
         if not check_address(address):
-            # exception resolved at completion
-            return 1 if self.fus.try_claim(inst.op_class) else None
-        # probe forwarding (side-effect free) before claiming a unit: a
-        # STALL must not issue at all, it would either read stale memory
-        # or burn the FU slot
+            return 1    # exception resolved at completion
+        # probe forwarding (side-effect free) before accessing the cache:
+        # a STALL must not issue at all, it would either read stale
+        # memory or burn the port
         thread = self.threads[op.thread_id]
         status, _value, _uid = thread.lsq.forward_value(op, address)
-        if status is _STALL or not self.fus.try_claim(inst.op_class):
+        if status is _STALL:
             return None
         if status is _HIT:
             return self.hw.l1d_latency
@@ -1238,14 +1240,16 @@ class PipelineCore:
         iq_cap = iq.capacity
         insert = iq.insert
         delay_buffer = iq.delay_buffer
-        if len(iq_ops) >= iq_cap and not delay_buffer:
+        # the deque itself: testing the DelayBuffer would call __len__
+        lingering = delay_buffer._ops
+        if len(iq_ops) >= iq_cap and not lingering:
             return    # dispatch only fills the IQ, so a full queue at
             # stage entry blocks every candidate this cycle
         hw = self.hw
         cycle = self.cycle
         threads = self.threads
         free_tags = self.free_list._tags
-        allocate = self.free_list.allocate
+        allocate = free_tags.popleft
         ready_bits = self.prf.ready
         # ROB and LSQ are shared dynamically: dispatch checks aggregate
         # occupancy across all SMT contexts, snapshotted once per cycle
@@ -1274,7 +1278,7 @@ class PipelineCore:
                 # the resource gates; all pure, cheapest first. A full
                 # issue queue still accepts by evicting the delay buffer
                 if (rob_total >= rob_size or len(rob_ops) >= rob.capacity
-                        or (len(iq_ops) >= iq_cap and not delay_buffer)):
+                        or (len(iq_ops) >= iq_cap and not lingering)):
                     break
                 is_mem = op.is_mem
                 if is_mem and (len(lsq._ops) >= lsq.capacity

@@ -22,7 +22,14 @@ _WAITING = OpState.WAITING
 
 
 class DelayBuffer:
-    """FIFO of recently completed ops still occupying issue-queue slots."""
+    """FIFO of recently completed ops still occupying issue-queue slots.
+
+    The complete stage fills it (``PipelineCore._try_complete``): each
+    completing op joins the tail with ``in_delay_buffer`` set, and once
+    more than ``capacity`` linger the head ages out and finally vacates
+    its issue-queue slot. With ``capacity`` 0 a completing op leaves the
+    queue at once.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -34,17 +41,6 @@ class DelayBuffer:
 
     def __iter__(self):
         return iter(self._ops)
-
-    def push(self, op: MicroOp) -> Optional[MicroOp]:
-        """Add a newly completed op; returns the op that aged out of the
-        buffer (and thus finally vacates the issue queue), if any."""
-        op.in_delay_buffer = True
-        self._ops.append(op)
-        if len(self._ops) > self.capacity:
-            evicted = self._ops.popleft()
-            evicted.in_delay_buffer = False
-            return evicted
-        return None
 
     def remove(self, op: MicroOp) -> None:
         if op.in_delay_buffer:
@@ -144,18 +140,6 @@ class IssueQueue:
         if op.in_delay_buffer:
             self.delay_buffer.remove(op)
         self._ops.pop(op, None)
-
-    def on_complete(self, op: MicroOp) -> None:
-        """Completion: the op enters the delay buffer instead of leaving;
-        the op that ages out finally vacates its slot."""
-        buffer = self.delay_buffer
-        if buffer.capacity:
-            evicted = buffer.push(op)
-            if evicted is None:
-                return
-        else:
-            evicted = op    # no delay buffer: the op leaves at once
-        self._ops.pop(evicted, None)
 
     def clone(self, clone_op) -> "IssueQueue":
         """Copy for core forking; *clone_op* maps each op to its clone,

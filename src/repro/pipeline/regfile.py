@@ -9,8 +9,8 @@ register file).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from collections import Counter, deque
+from typing import Deque, List, Optional, Set
 
 from ..config import VALUE_MASK
 from ..errors import SimulationError
@@ -62,16 +62,21 @@ class FreeList:
     to free a live register (paper Section 5.5, "freeing incorrect physical
     registers"), and the resulting reallocation-clobber is part of the fault
     model rather than a simulator error.
+
+    The pipeline stages work the deque directly (dispatch allocates with
+    ``_tags.popleft``, commit and squash free with ``_tags.append``);
+    :meth:`allocate` and :meth:`free` are the same two operations for
+    everyone else.
     """
 
     def __init__(self, tags):
         self._tags: Deque[int] = deque(tags)
-        # Shadow multiset: tag → multiplicity. Keeps ``contains`` O(1)
-        # (it sat on the rename hot path as a linear scan) while still
-        # representing fault-induced double-frees exactly.
-        self._counts: Dict[int, int] = {}
-        for tag in self._tags:
-            self._counts[tag] = self._counts.get(tag, 0) + 1
+
+    def __setstate__(self, state) -> None:
+        # lists pickled with the old shadow multiset carry ``_counts``;
+        # the deque alone is the list (checkpoint compatibility)
+        state.pop("_counts", None)
+        self.__dict__.update(state)
 
     def __len__(self) -> int:
         return len(self._tags)
@@ -85,36 +90,22 @@ class FreeList:
 
     def allocate(self) -> Optional[int]:
         """Pop a free tag, or ``None`` when exhausted (dispatch stalls)."""
-        if not self._tags:
-            return None
-        tag = self._tags.popleft()
-        remaining = self._counts[tag] - 1
-        if remaining:
-            self._counts[tag] = remaining
-        else:
-            del self._counts[tag]
-        return tag
+        return self._tags.popleft() if self._tags else None
 
     def free(self, tag: int) -> None:
         self._tags.append(tag)
-        self._counts[tag] = self._counts.get(tag, 0) + 1
 
-    def contains(self, tag: int) -> bool:
-        return tag in self._counts
-
-    def tag_set(self):
-        """Live view of the distinct free tags (a dict keys view: O(1)
-        membership and C-speed set intersection for the sanitizer,
-        without materialising a fresh set per check)."""
-        return self._counts.keys()
+    def tag_set(self) -> Set[int]:
+        """The distinct free tags (the invariant sanitizer's view, worked
+        out when called)."""
+        return set(self._tags)
 
     def duplicates(self) -> List[int]:
         """Tags currently freed more than once (invariant sanitizer)."""
-        if len(self._tags) == len(self._counts):
-            # every tag counted once — skip the O(free) scan on the
-            # (overwhelmingly common) duplicate-free list
+        tags = self._tags
+        if len(set(tags)) == len(tags):
             return []
-        return sorted(t for t, n in self._counts.items() if n > 1)
+        return sorted(t for t, n in Counter(tags).items() if n > 1)
 
     def clone(self) -> "FreeList":
         """Independent copy for core forking (checkpoint protocol)."""

@@ -53,6 +53,8 @@ class PipelineStats:
     regfile_reads: int = 0
     regfile_writes: int = 0
 
+    #: Commits per thread id. The commit stage bumps ``committed``, this
+    #: and ``recent_commits`` together, once per retired op.
     per_thread_committed: Dict[int, int] = field(default_factory=dict)
     #: Ring of the most recent commits as (thread_id, pc) — enough for a
     #: debugger to see everything committed since its last per-cycle check
@@ -119,12 +121,6 @@ class PipelineStats:
 
     def thread_committed(self, thread_id: int) -> int:
         return self.per_thread_committed.get(thread_id, 0)
-
-    def note_commit(self, thread_id: int, pc: int = -1) -> None:
-        self.committed += 1
-        self.per_thread_committed[thread_id] = (
-            self.per_thread_committed.get(thread_id, 0) + 1)
-        self.recent_commits.append((thread_id, pc))
 
     def summary(self) -> Dict[str, float]:
         """Flat dict for reports, the event log and EXPERIMENTS.md tables.

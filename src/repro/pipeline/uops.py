@@ -107,8 +107,41 @@ class MicroOp:
         on the cloned side.
         """
         twin = MicroOp.__new__(MicroOp)
-        for slot in MicroOp.__slots__:
-            setattr(twin, slot, getattr(self, slot))
+        # written out, not a getattr/setattr loop over __slots__ (about six
+        # times faster); tests/test_pipeline_components.py checks that
+        # every slot is here
+        twin.uid = self.uid
+        twin.thread_id = self.thread_id
+        twin.pc = self.pc
+        twin.inst = self.inst
+        twin.state = self.state
+        twin.phys_dest = self.phys_dest
+        twin.old_phys_dest = self.old_phys_dest
+        twin.phys_srcs = self.phys_srcs
+        twin.result = self.result
+        twin.eff_addr = self.eff_addr
+        twin.store_value = self.store_value
+        twin.predicted_taken = self.predicted_taken
+        twin.actual_taken = self.actual_taken
+        twin.mispredicted = self.mispredicted
+        twin.cycle_fetched = self.cycle_fetched
+        twin.dispatch_ready_at = self.dispatch_ready_at
+        twin.cycle_issued = self.cycle_issued
+        twin.exec_done_at = self.exec_done_at
+        twin.cycle_completed = self.cycle_completed
+        twin.cycle_committed = self.cycle_committed
+        twin.exception_addr = self.exception_addr
+        twin.forwarded_from = self.forwarded_from
+        twin.replay_marked = self.replay_marked
+        twin.in_delay_buffer = self.in_delay_buffer
+        twin.singleton_stall = self.singleton_stall
+        twin.screen_suppressed = self.screen_suppressed
+        twin.lsq_checked = self.lsq_checked
+        twin.is_load = self.is_load
+        twin.is_store = self.is_store
+        twin.is_mem = self.is_mem
+        twin.is_branch = self.is_branch
+        twin.writes_reg = self.writes_reg
         return twin
 
     def __setstate__(self, state) -> None:

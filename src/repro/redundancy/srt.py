@@ -22,16 +22,16 @@ from typing import List, Optional, Sequence
 
 from ..config import HardwareConfig
 from ..errors import ConfigurationError
-from ..isa.interpreter import Interpreter
+from ..isa.interpreter import golden_trace
 from ..isa.program import Program
 from ..pipeline.core import PipelineCore
 
 
 def dynamic_length(program: Program, cap: int = 2_000_000) -> int:
-    """Committed-instruction count of *program* (golden interpretation)."""
-    interp = Interpreter(program)
-    interp.run(max_instructions=cap)
-    return interp.state.instret
+    """Committed-instruction count of *program*, at most *cap* (from its
+    golden interpretation, shared with the trailing threads' branch
+    oracle)."""
+    return golden_trace(program, cap).dynamic_length(cap)
 
 
 def srt_iso_core(programs: Sequence[Program],

@@ -170,6 +170,39 @@ class TestCoreCheckpoint:
             restored.step()
         assert _signature(restored) == _signature(core)
 
+    def test_counter_shaped_functional_units_restore_and_step_identically(self):
+        # cores pickled when FunctionalUnits kept one int counter per pool
+        core = _warm_core()
+        old = core.clone()
+        hw = old.hw
+        old.fus.__dict__ = {
+            "_alu_limit": hw.num_alus, "_mul_limit": hw.num_muls,
+            "_fpu_limit": hw.num_fpus, "_alu": 1, "_mul": 0, "_fpu": 2,
+            "_mem": 1}
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored.fus.capacity == core.fus.capacity
+        assert restored.fus.free == [1, 0, 2, 1]
+        for _ in range(1_500):
+            core.step()
+            restored.step()
+        assert _signature(restored) == _signature(core)
+
+    def test_free_list_with_shadow_counts_restores_and_steps_identically(self):
+        # cores pickled when FreeList kept a ``_counts`` multiset beside
+        # its deque
+        core = _warm_core()
+        old = core.clone()
+        tags = old.free_list._tags
+        old.free_list._counts = {tag: tags.count(tag) for tag in tags}
+        restored = pickle.loads(pickle.dumps(old))
+        assert "_counts" not in vars(restored.free_list)
+        assert list(restored.free_list) == list(core.free_list)
+        for _ in range(1_500):
+            core.step()
+            restored.step()
+        assert _signature(restored) == _signature(core)
+        assert list(restored.free_list) == list(core.free_list)
+
     def test_zero_memory_word_restores_and_steps_identically(self):
         # cores pickled before memory dropped zero words could hold one
         core = _warm_core()

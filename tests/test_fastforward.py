@@ -12,7 +12,6 @@ exists exactly so these tests can run both paths.
 
 import pickle
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -273,10 +272,13 @@ class TestNextEventCycleContract:
         assert buffer.next_event_cycle(0) is None
         # still None while occupied: aging is driven by completions and
         # evictions by dispatches, never by the passage of cycles
-        buffer.push(SimpleNamespace(in_delay_buffer=False, uid=1))
-        buffer.push(SimpleNamespace(in_delay_buffer=False, uid=2))
-        assert len(buffer) == 2
-        for now in (1, 10, 10_000):
+        program = random_program(random.Random(5), body_len=20,
+                                 iterations=50)
+        core = PipelineCore([program], screening=FaultHoundUnit())
+        buffer = core.iq.delay_buffer
+        while len(buffer) < 2:
+            core.step()
+        for now in (core.cycle, core.cycle + 10, 10_000):
             assert buffer.next_event_cycle(now) is None
 
 

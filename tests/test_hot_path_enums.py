@@ -30,12 +30,15 @@ HOT = {
         "_screen", "_screen_completion", "_issue_stage",
         "_load_issue_latency", "_dispatch_stage", "_fetch_stage",
         "_fetch_thread"]},
-    "pipeline/issue_queue.py": {"IssueQueue": [
-        "insert", "remove", "on_complete"]},
+    "pipeline/issue_queue.py": {"IssueQueue": ["insert", "remove"]},
     "pipeline/lsq.py": {"LoadStoreQueue": [
         "forward_value", "violating_loads"]},
-    "pipeline/uops.py": {"MicroOp": ["__init__"]},
-    "pipeline/func_units.py": {"FunctionalUnits": ["try_claim"]},
+    "pipeline/uops.py": {"MicroOp": ["__init__", "clone"]},
+    # the issue stage claims units by pool index (in _issue_stage); the
+    # per-cycle renewal is the units' own hot function
+    "pipeline/func_units.py": {"FunctionalUnits": ["new_cycle"]},
+    # the golden interpreter: repro verify, SRT lengths, branch oracles
+    "isa/interpreter.py": {"Interpreter": ["step", "run_traced"]},
     "core/tcam.py": {"TCAM": ["lookup"]},
     "core/actions.py": {"CheckResult": ["of", "none"]},
     "core/screening.py": {

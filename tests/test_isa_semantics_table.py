@@ -1,10 +1,12 @@
-"""The per-opcode semantics table and the function each Instruction binds.
+"""The per-opcode semantics and facts tables, and what each Instruction
+takes from them.
 
-The execute stage calls ``inst.evaluate(a, b, imm)`` instead of
-dispatching on the opcode, and the public ``alu_result`` /
-``branch_taken`` wrappers (which the interpreter uses) read the same
-table — so the two must agree, and an instruction restored from an
-older pickle must bind its function again.
+The execute stage and the interpreter call ``inst.evaluate(a, b, imm)``
+instead of dispatching on the opcode, and the public ``alu_result`` /
+``branch_taken`` wrappers read the same table — so the two must agree.
+The rest of an instruction's derived facts come from ``OPCODE_FACTS``,
+which must agree with the per-opcode functions, and an instruction
+restored from an older pickle must derive them all again.
 """
 
 import pickle
@@ -12,10 +14,12 @@ import pickle
 import pytest
 
 from repro.isa import Instruction, Opcode, assemble
+from repro.isa.instruction import OPCODE_FACTS
 from repro.isa.interpreter import run_program
-from repro.isa.opcodes import OpClass, op_class
+from repro.isa.opcodes import (OpClass, fu_pool, has_dest, is_branch,
+                               op_class, op_latency, reads_two_regs)
 from repro.isa.semantics import (ALU_FUNCTIONS, BRANCH_FUNCTIONS,
-                                 alu_result, branch_taken)
+                                 alu_result, branch_taken, semantics_of)
 from repro.pipeline import PipelineCore
 
 MASK64 = (1 << 64) - 1
@@ -88,11 +92,32 @@ def test_instructions_pickle_with_their_bound_function():
         assert new.evaluate is old.evaluate
 
 
-def _legacy_copy(inst: Instruction) -> Instruction:
-    """What unpickling an Instruction saved before ``evaluate`` existed
-    yields: pickle's own rebuild, fed a state without the attribute."""
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+def test_opcode_table_matches_the_per_function_facts(op):
+    facts, sources = OPCODE_FACTS[op]
+    assert facts == {
+        "op_class": op_class(op), "latency": op_latency(op),
+        "is_load": op is Opcode.LD, "is_store": op is Opcode.ST,
+        "is_mem": op in (Opcode.LD, Opcode.ST), "is_branch": is_branch(op),
+        "writes_reg": has_dest(op), "evaluate": semantics_of(op),
+        "fu_pool": fu_pool(op)}
+    inst = Instruction(op, rd=3, rs1=5, rs2=7, imm=0)
+    for name, value in facts.items():
+        assert getattr(inst, name) == value
+    if op in (Opcode.NOP, Opcode.HALT, Opcode.JMP, Opcode.MOVI):
+        assert inst.source_regs() == () and sources == 0
+    elif op is not Opcode.LD and reads_two_regs(op):
+        assert inst.source_regs() == (5, 7) and sources == 2
+    else:
+        assert inst.source_regs() == (5,) and sources == 1
+
+
+def _legacy_copy(inst: Instruction, missing: str = "evaluate") -> Instruction:
+    """What unpickling an Instruction saved before the *missing* derived
+    attribute existed yields: pickle's own rebuild, fed a state without
+    it."""
     rebuild, args, state = inst.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
-    state = {k: v for k, v in state.items() if k != "evaluate"}
+    state = {k: v for k, v in state.items() if k != missing}
     legacy = rebuild(*args)
     legacy.__setstate__(state)
     return legacy
@@ -118,10 +143,19 @@ _LOOP = """
 
 
 def test_instruction_restored_without_evaluate_rederives_and_steps():
+    _restored_program_steps("evaluate")
+
+
+def test_instruction_restored_without_pool_index_rederives_and_steps():
+    _restored_program_steps("fu_pool")
+
+
+def _restored_program_steps(missing: str) -> None:
     program = assemble(_LOOP)
-    legacy = [_legacy_copy(inst) for inst in program.instructions]
+    legacy = [_legacy_copy(inst, missing) for inst in program.instructions]
     for old, new in zip(program.instructions, legacy):
         assert new.evaluate is old.evaluate
+        assert new.fu_pool == old.fu_pool
         assert new.latency == old.latency
     program.instructions = legacy
     core = PipelineCore([program])

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.config import HardwareConfig
+from repro.core import FaultHoundUnit
 from repro.errors import SimulationError
-from repro.isa import Instruction, Opcode
-from repro.isa.opcodes import OpClass
+from repro.isa import Instruction, Opcode, assemble
+from repro.pipeline import PipelineCore
 from repro.pipeline.branch import BranchPredictor
-from repro.pipeline.func_units import FunctionalUnits, MEM_PORTS
-from repro.pipeline.issue_queue import DelayBuffer, IssueQueue
+from repro.pipeline.func_units import MEM_PORTS
+from repro.pipeline.issue_queue import IssueQueue
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.regfile import FreeList, PhysicalRegisterFile
 from repro.pipeline.rename import RenameTable
@@ -20,6 +21,41 @@ def make_op(uid, opcode=Opcode.ADD, thread=0, **inst_kwargs):
     inst = Instruction(opcode, **inst_kwargs)
     return MicroOp(uid, thread, pc=uid, inst=inst,
                    cycle_fetched=0, dispatch_ready_at=0)
+
+
+# The delay buffer fills, and functional units are claimed, inside the
+# core's complete and issue stages; these helpers drive those stages on
+# hand-built ops (no sources, no destination) queued in a bare core.
+
+def make_core(iq_size=8, delay=2, **hw_kwargs):
+    """A one-thread core whose issue queue holds *iq_size* ops behind a
+    delay buffer of *delay* (none at 0)."""
+    hw = HardwareConfig(issue_queue_size=iq_size,
+                        delay_buffer_size=max(delay, 1), **hw_kwargs)
+    screening = FaultHoundUnit() if delay else None
+    return PipelineCore([assemble("halt")], hw=hw, screening=screening)
+
+
+def complete(core, *ops):
+    """Finish *ops* (already queued) through the core's complete stage."""
+    for op in ops:
+        op.state = OpState.EXECUTING
+        op.exec_done_at = core.cycle
+        core._executing.append(op)
+    core._complete_stage()
+
+
+def issue_cycle(core, *ops):
+    """Queue *ops* ready to issue, run one cycle's issue stage on fresh
+    units, and return the ops that issued."""
+    for op in ops:
+        if op.is_load:
+            op.phys_srcs = (0,)    # address 0: a valid, aligned load
+        core.iq.insert(op)
+    core.cycle += 1
+    core.fus.new_cycle()
+    core._issue_stage()
+    return [op for op in ops if op.state is OpState.EXECUTING]
 
 
 class TestMicroOp:
@@ -44,6 +80,18 @@ class TestMicroOp:
         assert make_op(1, Opcode.ADD, rd=5).writes_reg
         assert not make_op(1, Opcode.ADD, rd=0).writes_reg
         assert not make_op(1, Opcode.ST, rs1=1, rs2=2).writes_reg
+
+    def test_clone_copies_every_slot(self):
+        # clone() names each slot; a slot added to __slots__ but not to
+        # clone() is unset on the twin (or holds the wrong value) here
+        op = make_op(1)
+        values = {slot: object() for slot in MicroOp.__slots__}
+        for slot, value in values.items():
+            setattr(op, slot, value)
+        twin = op.clone()
+        assert twin is not op
+        for slot, value in values.items():
+            assert getattr(twin, slot, None) is value, slot
 
 
 class TestPhysicalRegisterFile:
@@ -93,6 +141,18 @@ class TestFreeList:
         fl.free(3)
         assert fl.allocate() == 3
         assert fl.allocate() == 3
+
+    def test_sanitizer_views(self):
+        fl = FreeList([4, 5, 6])
+        assert fl.tag_set() == {4, 5, 6}
+        assert fl.duplicates() == []
+        fl.free(5)
+        fl.free(4)
+        fl.free(5)
+        assert fl.tag_set() == {4, 5, 6}
+        assert fl.duplicates() == [4, 5]
+        clone = fl.clone()
+        assert list(clone) == list(fl) and clone._tags is not fl._tags
 
 
 class TestRenameTable:
@@ -152,35 +212,47 @@ class TestReorderBuffer:
 
 class TestDelayBuffer:
     def test_push_until_overflow(self):
-        buf = DelayBuffer(2)
+        core = make_core(delay=2)
         a, b, c = make_op(1), make_op(2), make_op(3)
-        assert buf.push(a) is None
-        assert buf.push(b) is None
-        evicted = buf.push(c)
-        assert evicted is a
+        for op in (a, b, c):
+            core.iq.insert(op)
+        complete(core, a, b)
+        buf = core.iq.delay_buffer
+        assert list(buf) == [a, b] and a.in_delay_buffer
+        complete(core, c)
         assert not a.in_delay_buffer
+        assert a not in core.iq     # aged out: finally vacates its slot
+        assert list(buf) == [b, c]
         assert len(buf) == 2
 
     def test_predecessors_of(self):
-        buf = DelayBuffer(4)
-        for uid in (3, 7, 9):
-            buf.push(make_op(uid))
-        preds = buf.predecessors_of(8)
+        core = make_core(delay=4)
+        ops = [make_op(uid) for uid in (3, 7, 9)]
+        for op in ops:
+            core.iq.insert(op)
+        complete(core, *ops)
+        preds = core.iq.delay_buffer.predecessors_of(8)
         assert [op.uid for op in preds] == [3, 7]
 
     def test_squash_clears_flags(self):
-        buf = DelayBuffer(4)
+        core = make_core(delay=4)
         op = make_op(1)
-        buf.push(op)
+        core.iq.insert(op)
+        complete(core, op)
+        buf = core.iq.delay_buffer
         dropped = buf.squash()
         assert dropped == [op]
         assert not op.in_delay_buffer
         assert buf.squashes == 1
 
     def test_zero_capacity_evicts_immediately(self):
-        buf = DelayBuffer(0)
+        core = make_core(delay=0)
         op = make_op(1)
-        assert buf.push(op) is op
+        core.iq.insert(op)
+        complete(core, op)
+        assert op.state is OpState.COMPLETED
+        assert op not in core.iq and not op.in_delay_buffer
+        assert len(core.iq.delay_buffer) == 0
 
 
 class TestIssueQueue:
@@ -194,12 +266,13 @@ class TestIssueQueue:
         assert not iq.insert(make_op(3))  # full, nothing evictable
 
     def test_completed_op_evicted_for_newcomer(self):
-        iq = self.make_iq(capacity=2, delay=2)
+        core = make_core(iq_size=2, delay=2)
+        iq = core.iq
         a, b = make_op(1), make_op(2)
         iq.insert(a)
         iq.insert(b)
-        a.state = OpState.COMPLETED
-        iq.on_complete(a)           # a lingers in the delay buffer
+        complete(core, a)           # a lingers in the delay buffer
+        assert a in iq
         c = make_op(3)
         assert iq.insert(c)          # evicts via delay-buffer squash
         assert a not in iq
@@ -217,27 +290,26 @@ class TestIssueQueue:
         assert [op.uid for op in iq.waiting_ops()] == [2, 9]
 
     def test_mark_predecessors_for_replay(self):
-        iq = self.make_iq(capacity=8, delay=4)
+        core = make_core(delay=4)
+        iq = core.iq
         ops = [make_op(uid) for uid in (1, 2, 3)]
         for op in ops:
             iq.insert(op)
-            op.state = OpState.COMPLETED
-            iq.on_complete(op)
+        complete(core, *ops)
         marked = iq.mark_predecessors_for_replay(trigger_uid=3)
         assert [op.uid for op in marked] == [1, 2]
         assert all(op.state is OpState.WAITING for op in marked)
         assert all(op.replay_marked for op in marked)
 
     def test_on_complete_aging_vacates_slot(self):
-        iq = self.make_iq(capacity=8, delay=1)
+        core = make_core(delay=1)
         a, b = make_op(1), make_op(2)
-        iq.insert(a)
-        iq.insert(b)
-        for op in (a, b):
-            op.state = OpState.COMPLETED
-            iq.on_complete(op)
-        assert a not in iq      # aged out when b completed
-        assert b in iq
+        core.iq.insert(a)
+        core.iq.insert(b)
+        complete(core, a)
+        complete(core, b)
+        assert a not in core.iq      # aged out when b completed
+        assert b in core.iq
 
 
 class TestLoadStoreQueue:
@@ -331,27 +403,42 @@ class TestBranchPredictor:
 
 
 class TestFunctionalUnits:
+    # issue_width 16: the unit pools, not the issue width, bind here
+
     def test_alu_budget(self):
-        fus = FunctionalUnits(HardwareConfig())
-        claims = sum(fus.try_claim(OpClass.ALU) for _ in range(10))
-        assert claims == 4
+        core = make_core(iq_size=16, issue_width=16)
+        issued = issue_cycle(core, *(make_op(uid) for uid in range(1, 11)))
+        assert [op.uid for op in issued] == [1, 2, 3, 4]
 
     def test_mem_ports_shared_by_loads_and_stores(self):
-        fus = FunctionalUnits(HardwareConfig())
-        assert fus.try_claim(OpClass.LOAD)
-        assert fus.try_claim(OpClass.STORE)
-        assert not fus.try_claim(OpClass.LOAD)
+        core = make_core(iq_size=16, issue_width=16)
+        load = make_op(1, Opcode.LD, rd=1, rs1=2)
+        store = make_op(2, Opcode.ST, rs1=1, rs2=2)
+        late = make_op(3, Opcode.LD, rd=3, rs1=2)
+        assert issue_cycle(core, load, store, late) == [load, store]
         assert MEM_PORTS == 2
 
     def test_new_cycle_replenishes(self):
-        fus = FunctionalUnits(HardwareConfig())
-        for _ in range(4):
-            fus.try_claim(OpClass.ALU)
-        fus.new_cycle()
-        assert fus.try_claim(OpClass.ALU)
+        core = make_core(iq_size=16, issue_width=16)
+        ops = [make_op(uid) for uid in range(1, 7)]
+        assert issue_cycle(core, *ops) == ops[:4]
+        assert issue_cycle(core) == []
+        assert [op.state for op in ops[4:]] == [OpState.EXECUTING] * 2
 
     def test_branches_share_alu_budget(self):
-        fus = FunctionalUnits(HardwareConfig())
-        for _ in range(4):
-            assert fus.try_claim(OpClass.BRANCH)
-        assert not fus.try_claim(OpClass.ALU)
+        core = make_core(iq_size=16, issue_width=16)
+        branches = [make_op(uid, Opcode.BEQ) for uid in range(1, 5)]
+        alu = make_op(5)
+        assert issue_cycle(core, *branches, alu) == branches
+        assert alu.state is OpState.WAITING
+
+    def test_pools_by_index(self):
+        core = make_core(iq_size=16, issue_width=16)
+        hw = core.hw
+        assert core.fus.capacity == (hw.num_alus, hw.num_muls,
+                                     hw.num_fpus, MEM_PORTS)
+        muls = [make_op(uid, Opcode.MUL) for uid in range(1, 4)]
+        fpus = [make_op(uid, Opcode.FADD) for uid in range(4, 7)]
+        issued = issue_cycle(core, *muls, *fpus)
+        assert issued == muls[:2] + fpus[:2]
+        assert core.fus.free == [hw.num_alus, 0, 0, MEM_PORTS]

@@ -13,12 +13,16 @@ committed-instruction boundary (the paper's run-window), and compares:
 The golden core is then re-used for the next fault (the paper's trick of
 serving all injections from one benchmark run).
 
-A register-file fault that is dead — overwritten before anything reads
-it — is classified from the golden run alone (see
+A register-file fault is forked late or not at all (see
 :meth:`TandemClassifier._register_verdict`): until the first read of the
-flipped register the faulty twin retraces golden cycle for cycle, so
-comparing golden with itself yields exactly the window result the faulty
-run would have produced.
+flipped register the faulty twin retraces golden cycle for cycle. So a
+dead fault — overwritten before anything reads it — is classified by
+comparing golden with itself, which yields exactly the window result the
+faulty run would have produced; and a fault that is read gets its twin
+forked from golden at that first read, inside the dispatch stage that
+renames the reader, where the bit flip lands. Only a fault already
+sourced by an in-flight op at injection, and every rename or LSQ fault,
+is forked at injection.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ class TandemClassifier:
         #: Windows classified without a faulty run since the last
         #: :meth:`_record_metrics` (dead register faults).
         self._pruned = 0
+        #: Faulty twins built since the last :meth:`_record_metrics`.
+        self._forks = 0
 
     # ------------------------------------------------------------------
     def run(self, records: List[FaultRecord],
@@ -141,7 +147,8 @@ class TandemClassifier:
             sum(1 for r in results if r.applied))
         self.metrics.counter("classifier_pruned_windows_total").inc(
             self._pruned)
-        self._pruned = 0
+        self.metrics.counter("classifier_forks_total").inc(self._forks)
+        self._pruned = self._forks = 0
         latency = self.metrics.histogram("classifier_detection_latency_cycles",
                                          LATENCY_CYCLE_BUCKETS)
         for result in results:
@@ -230,17 +237,19 @@ class TandemClassifier:
             return result
 
         dead = self._register_verdict(golden, record)
-        if dead:
-            # no fork at all, but the record learns what
+        faulty = None
+        if dead is False:
+            faulty = injected = golden.clone()
+            self._forks += 1
+            if not self._apply_with_retry(faulty, record):
+                result.applied = False
+                return result
+        else:
+            # no fork yet, but the record learns what
             # FaultInjector.apply would have told it
             record.reg_status = self.injector.reg_status(golden, record.reg)
             record.applied = True
             injected = golden
-        else:
-            faulty = injected = golden.clone()
-            if not self._apply_with_retry(faulty, record):
-                result.applied = False
-                return result
         before = _EventBaseline.of(injected)
         inject_cycle = injected.cycle
         triggers_before = len(injected.screen_trigger_cycles)
@@ -251,20 +260,15 @@ class TandemClassifier:
                    for t in golden.threads}
         golden.set_snapshot_targets(targets)
         if dead is None:
-            watch = _FirstUseWatch(golden, record.reg % golden.prf.num_regs)
-            try:
-                self._run_to_capture(golden)
-            finally:
-                watch.detach()
-            dead = not watch.read
+            faulty = self._run_watched(golden, record, inject_cycle)
         else:
             self._run_to_capture(golden)
         self._check_golden(golden)
-        if dead:
+        if faulty is None:
             # the faulty twin would retrace golden through the window
             self._pruned += 1
             faulty = golden
-        else:
+        elif dead is False:
             faulty.set_snapshot_targets(targets)
             self._run_to_capture(faulty)
 
@@ -275,6 +279,29 @@ class TandemClassifier:
         golden.set_snapshot_targets({})
         return result
 
+    def _run_watched(self, golden: PipelineCore, record: FaultRecord,
+                     inject_cycle: int) -> Optional[PipelineCore]:
+        """Run golden's window under a :class:`_FirstUseWatch` on the
+        fault's register; return the finished faulty twin, or None when
+        the fault is dead. The twin is forked at the first read, inside
+        that cycle's dispatch stage: it finishes the cycle's fetch stage
+        (which reads no register), takes the bit flip and runs what is
+        left of the window's cycle budget. Up to that read it would have
+        retraced golden, so it is the twin a fork at injection makes."""
+        watch = _FirstUseWatch(golden, record.reg % golden.prf.num_regs)
+        try:
+            self._run_to_capture(golden)
+        finally:
+            watch.detach()
+        faulty = watch.twin
+        if faulty is not None:
+            self._forks += 1
+            faulty._fetch_stage()
+            faulty.inject_prf_bit(record.reg, record.bit)
+            faulty.run_to_capture(
+                inject_cycle + self.max_window_cycles - faulty.cycle)
+        return faulty
+
     def _register_verdict(self, golden: PipelineCore,
                           record: FaultRecord) -> Optional[bool]:
         """Whether a fault about to land is dead — overwritten before any
@@ -282,13 +309,14 @@ class TandemClassifier:
 
         True (dead) for a register-file fault in a register that is not
         ready: its pending producer overwrites it in full before any
-        reader may issue. False (live) for every other site, and for a
-        register some in-flight op of either thread already sources.
-        None otherwise: the golden window's dispatch stream decides
-        (:class:`_FirstUseWatch`). Every register read goes through an
-        op's ``phys_srcs``, which are renamed only at dispatch, and the
-        faulty twin's dispatch stream equals golden's up to the first
-        read, so a dead verdict is exact, never a guess.
+        reader may issue. False (live, forked at injection) for every
+        other site, and for a register some in-flight op of either
+        thread already sources. None otherwise: the golden window's
+        dispatch stream decides (:class:`_FirstUseWatch`), and a live
+        fault's twin is forked at its first read. Every register read
+        goes through an op's ``phys_srcs``, which are renamed only at
+        dispatch, and the faulty twin's dispatch stream equals golden's
+        up to the first read, so a dead verdict is exact, never a guess.
         """
         if record.site is not FaultSite.REGFILE:
             return False
@@ -398,20 +426,26 @@ class TandemClassifier:
 
 class _FirstUseWatch:
     """Watches a core's dispatch stream for the first op that names one
-    physical register; :attr:`read` ends True when that op sources it.
+    physical register; :attr:`read` ends True when that op sources it,
+    and :attr:`twin` then holds a clone of the core taken right after
+    that cycle's dispatch stage (before its fetch stage).
 
     Shadows ``_dispatch_stage`` on the watched instance only (the
     class-level stage is untouched, so every other core pays nothing)
     and stops watching once an op has named the register. Ops dispatched
-    in one cycle are visited in the stage's own thread order.
+    in one cycle are visited in the stage's own thread order. A register
+    that turns pending without being named is being rewritten by a
+    replayed producer (``_initiate_replay``), which no reader can issue
+    ahead of: it ends the watch with no read.
     """
 
-    __slots__ = ("core", "reg", "read")
+    __slots__ = ("core", "reg", "read", "twin")
 
     def __init__(self, core: PipelineCore, reg: int):
         self.core = core
         self.reg = reg
         self.read = False
+        self.twin: Optional[PipelineCore] = None
         core._dispatch_stage = self._dispatch_stage
 
     def _dispatch_stage(self) -> None:
@@ -427,10 +461,13 @@ class _FirstUseWatch:
                 op = ops[-back]
                 if reg in op.phys_srcs:
                     self.read = True
+                    self.twin = core.clone()
                 elif op.phys_dest != reg:
                     continue
                 self.detach()
                 return
+        if not core.prf.ready[reg]:
+            self.detach()
 
     def detach(self) -> None:
         self.core.__dict__.pop("_dispatch_stage", None)

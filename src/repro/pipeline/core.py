@@ -16,6 +16,7 @@ flow-through.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from operator import attrgetter
 from time import perf_counter
@@ -263,6 +264,8 @@ class PipelineCore:
         ``every=N`` checks after every Nth cycle by shadowing ``step``
         with a checking wrapper *on this instance only* — the class-level
         ``step`` is untouched, so cores that never opt in pay nothing.
+        The wrapper holds the core weakly, so arming makes no reference
+        cycle.
         ``every=0`` arms the sanitizer for explicit
         :meth:`check_invariants` calls only (the tandem classifier's
         capture-site mode).
@@ -277,7 +280,7 @@ class PipelineCore:
         # checks run at exactly the legacy cycles
         self._sanitize_every = every
         if every:
-            self.step = self._step_sanitized
+            self.step = _SanitizedStep(self)
         else:
             self.__dict__.pop("step", None)
         return sanitizer
@@ -295,11 +298,6 @@ class PipelineCore:
         if sanitizer is None:
             return []
         return sanitizer.check(self)
-
-    def _step_sanitized(self) -> None:
-        PipelineCore.step(self)
-        if self.cycle % self._sanitize_every == 0:
-            self._sanitizer.check(self)
 
     def inflight_ops(self):
         """Every micro-op currently tracked by the core: fetch buffers
@@ -385,6 +383,13 @@ class PipelineCore:
         stats = self.__dict__.get("stats")
         if stats is not None:
             stats.bind_cycle_source(self)
+
+    def __del__(self):
+        # the stats may outlive this core (``run()`` returns them) and
+        # bind it weakly: hand them the final count
+        stats = self.__dict__.get("stats")
+        if stats is not None:
+            stats._cycles = self.__dict__.get("cycle", 0)
 
     # ------------------------------------------------------------------
     # event-skip fast-forward
@@ -1406,6 +1411,28 @@ class PipelineCore:
                      ("issue", "_issue_stage"),
                      ("dispatch", "_dispatch_stage"),
                      ("fetch", "_fetch_stage"))
+
+
+class _SanitizedStep:
+    """The ``step`` shadow of a core armed with a periodic sanitizer
+    (:meth:`PipelineCore.enable_sanitizer`): one cycle, then a check on
+    every Nth. It holds the core through a weak reference (a bound
+    method would close a reference cycle) and pickles as a fresh shadow
+    of the unpickled core."""
+
+    __slots__ = ("_core",)
+
+    def __init__(self, core: PipelineCore):
+        self._core = weakref.ref(core)
+
+    def __call__(self) -> None:
+        core = self._core()
+        PipelineCore.step(core)
+        if core.cycle % core._sanitize_every == 0:
+            core._sanitizer.check(core)
+
+    def __reduce__(self):
+        return _SanitizedStep, (self._core(),)
 
 
 __all__ = ["PipelineCore", "FRONTEND_DEPTH"]

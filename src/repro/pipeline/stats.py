@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Tuple
@@ -15,9 +16,11 @@ class PipelineStats:
 
     ``cycles`` is *derived*: a core binds itself as the cycle source
     (:meth:`bind_cycle_source`) and the property reads ``core.cycle``
-    live, so the hot loop never writes a per-cycle counter. Detached
-    stats objects (clones, unpickled checkpoints, hand-built tests) fall
-    back to the materialised ``_cycles`` field.
+    live, so the hot loop never writes a per-cycle counter. The binding
+    is a weak reference, so stats never keep their core alive; a core
+    materialises ``_cycles`` when it is freed. Detached stats objects
+    (clones, unpickled checkpoints, hand-built tests, the stats of a
+    freed core) read the materialised ``_cycles`` field.
     """
 
     _cycles: int = 0
@@ -62,16 +65,19 @@ class PipelineStats:
     recent_commits: Deque[Tuple[int, int]] = field(
         default_factory=lambda: deque(maxlen=32))
 
-    #: Live cycle source (the owning core), or None when detached. A
-    #: plain class attribute, not a dataclass field: ``replace``-based
-    #: clones and unpickled copies start detached by construction.
+    #: Weak reference to the live cycle source (the owning core), or None
+    #: when detached. A plain class attribute, not a dataclass field:
+    #: ``replace``-based clones and unpickled copies start detached by
+    #: construction.
     _cycle_source = None
 
     @property
     def cycles(self) -> int:
         source = self._cycle_source
         if source is not None:
-            return source.cycle
+            core = source()
+            if core is not None:
+                return core.cycle
         return self._cycles
 
     @cycles.setter
@@ -80,9 +86,11 @@ class PipelineStats:
 
     def bind_cycle_source(self, core) -> None:
         """Derive ``cycles`` from *core*.cycle at read time (no per-step
-        write). The binding is dropped on pickle and on ``clone`` — both
+        write). The binding is weak: it makes no reference cycle through
+        the core, and *core* writes its final count to ``_cycles`` when
+        freed. It is dropped on pickle and on ``clone`` — both
         materialise the current count first."""
-        self._cycle_source = core
+        self._cycle_source = weakref.ref(core)
 
     def __getstate__(self):
         state = self.__dict__.copy()
